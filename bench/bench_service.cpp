@@ -149,7 +149,8 @@ int emit_report(const Curves& curves) {
       "network of 2-balancers pays its full depth — sharding wins");
   std::printf("%-18s", "impl");
   for (const std::size_t threads : kThreadCounts) {
-    std::printf(" %11s", ("x" + std::to_string(threads)).c_str());
+    std::printf(" %11s",
+                std::string("x").append(std::to_string(threads)).c_str());
   }
   std::printf("\n");
   bench::print_row_rule();

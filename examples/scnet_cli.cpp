@@ -7,25 +7,21 @@
 //   scnet_cli info < net.scnet         summary + depth/width stats
 //   scnet_cli verify < net.scnet       counting + sorting verification
 //   scnet_cli dot < net.scnet          Graphviz
-//   scnet_cli export --dot [--overlay={none|contention|placement}]
+//   scnet_cli export --dot [--overlay={none|contention}]
 //                      [--tokens N] [--title T] < net.scnet
-//                                      clustered Graphviz with optional
-//                                      metric overlays: contention drives
-//                                      N tokens through the concurrent sim
-//                                      and heat-colors gates by measured
-//                                      visits; placement colors each layer
-//                                      cluster by its topology node (set
-//                                      SCNET_TOPOLOGY=2x4 to preview a
-//                                      synthetic machine)
+//                                      clustered Graphviz with an optional
+//                                      contention overlay: drives N tokens
+//                                      through the concurrent sim and
+//                                      heat-colors gates by measured visits
 //   scnet_cli ascii < net.scnet        wire diagram
 //   scnet_cli count t0,t1,... < net.scnet    quiescent outputs for a load
 //   scnet_cli sort v0,v1,...  < net.scnet    comparator outputs for values
 //   scnet_cli sort --engine=plan v0,...      same, via the compiled engine
 //                                            (backend from SCNET_BACKEND,
 //                                            default auto)
-//   scnet_cli sort --engine=simd v0,...      compiled engine on a forced
+//   scnet_cli sort --engine=batch v0,...     compiled engine on a forced
 //                                            backend (auto|scalar|batch|
-//                                            simd|threaded)
+//                                            threaded)
 //   scnet_cli sort --engine=plan --batch N   sort N random vectors (SoA
 //                                            batch, backend by dispatch)
 //   scnet_cli sort --engine=plan --passes=aggressive ...  pick the pass
@@ -100,8 +96,6 @@
 #include "sim/concurrent_sim.h"
 #include "sim/count_sim.h"
 #include "sim/schedule.h"
-#include "topo/placement.h"
-#include "topo/topology.h"
 #include "tune/experiment.h"
 #include "tune/profile.h"
 #include "verify/checkers.h"
@@ -121,11 +115,11 @@ int usage() {
                "  scnet_cli build {batcher|bubble} <width>\n"
                "  scnet_cli {info|analyze|svg|verify|dot|ascii} < net.scnet\n"
                "  scnet_cli export --dot "
-               "[--overlay={none|contention|placement}] [--tokens N] "
+               "[--overlay={none|contention}] [--tokens N] "
                "[--title T] < net.scnet\n"
                "  scnet_cli count <t0,t1,...> < net.scnet\n"
                "  scnet_cli sort [--engine={interp|plan|auto|scalar|batch|"
-               "simd|threaded}] "
+               "threaded}] "
                "[--passes={none|default|aggressive|optimal}] "
                "<v0,v1,...> < net.scnet\n"
                "  scnet_cli sort --engine=plan --batch <N> [--seed <s>] "
@@ -334,7 +328,7 @@ int cmd_sort(Runtime& rt, const Network& net, int argc, char** argv) {
     if (!forced) {
       std::fprintf(stderr,
                    "unknown engine '%s' (valid: interp|plan|auto|scalar|"
-                   "batch|simd|threaded)\n",
+                   "batch|threaded)\n",
                    engine.c_str());
       return 2;
     }
@@ -407,14 +401,11 @@ int cmd_sort(Runtime& rt, const Network& net, int argc, char** argv) {
   return 0;
 }
 
-// Clustered DOT export with optional metric overlays. The contention
-// overlay is self-contained: it drives --tokens tokens through the
-// concurrent simulator (round-robin entry wires) with the visit probe on,
-// so one pipeline — build | export — yields a heat-annotated figure. The
-// placement overlay solves the layer partition for the runtime's topology
-// (SCNET_TOPOLOGY renders synthetic machines) and reports the solver's
-// rationale on stderr.
-int cmd_export(Runtime& rt, const Network& net, int argc, char** argv) {
+// Clustered DOT export with an optional contention overlay. The overlay is
+// self-contained: it drives --tokens tokens through the concurrent
+// simulator (round-robin entry wires) with the visit probe on, so one
+// pipeline — build | export — yields a heat-annotated figure.
+int cmd_export(const Network& net, int argc, char** argv) {
   bool dot = false;
   std::string overlay = "none";
   std::uint64_t tokens = 1000;
@@ -440,7 +431,6 @@ int cmd_export(Runtime& rt, const Network& net, int argc, char** argv) {
   }
   // Overlay data must outlive the render call — DotOptions holds spans.
   std::vector<std::uint64_t> visits;
-  std::vector<std::uint32_t> layer_nodes;
   if (overlay == "contention") {
     ConcurrentNetwork cnet(net);
     cnet.enable_visit_probe();
@@ -456,17 +446,8 @@ int cmd_export(Runtime& rt, const Network& net, int argc, char** argv) {
                      visits.empty()
                          ? 0
                          : *std::max_element(visits.begin(), visits.end())));
-  } else if (overlay == "placement") {
-    const ExecutionPlan plan = compile_plan(net);
-    const topo::PlacementPlan placement =
-        topo::plan_placement(plan, rt.topology());
-    layer_nodes = placement.layer_nodes;
-    opts.overlay = DotOverlay::kPlacement;
-    opts.layer_nodes = layer_nodes;
-    std::fprintf(stderr, "overlay: %s\n", placement.rationale.c_str());
   } else if (overlay != "none") {
-    std::fprintf(stderr,
-                 "unknown overlay '%s' (valid: none|contention|placement)\n",
+    std::fprintf(stderr, "unknown overlay '%s' (valid: none|contention)\n",
                  overlay.c_str());
     return 2;
   }
@@ -864,7 +845,7 @@ int dispatch(Runtime& rt, int argc, char** argv) {
     return 0;
   }
   if (cmd == "sort" && argc >= 3) return cmd_sort(rt, net, argc, argv);
-  if (cmd == "export") return cmd_export(rt, net, argc, argv);
+  if (cmd == "export") return cmd_export(net, argc, argv);
   if (cmd == "optimize") return cmd_optimize(rt, net, argc, argv);
   return usage();
 }

@@ -8,7 +8,6 @@
 #include "core/factorization.h"
 #include "core/r_network.h"
 #include "perf/thread_pool.h"
-#include "topo/topology.h"
 #include "tune/profile.h"
 
 namespace scn {
@@ -21,8 +20,6 @@ const char* to_string(EngineBackend backend) {
       return "scalar";
     case EngineBackend::kBatch:
       return "batch";
-    case EngineBackend::kSimd:
-      return "simd";
     case EngineBackend::kThreaded:
       return "threaded";
   }
@@ -33,7 +30,6 @@ std::optional<EngineBackend> parse_backend(std::string_view name) {
   if (name == "auto") return EngineBackend::kAuto;
   if (name == "scalar") return EngineBackend::kScalar;
   if (name == "batch") return EngineBackend::kBatch;
-  if (name == "simd") return EngineBackend::kSimd;
   if (name == "threaded") return EngineBackend::kThreaded;
   return std::nullopt;
 }
@@ -46,32 +42,8 @@ EngineBackend default_backend() {
 
 MachineCaps machine_caps() {
   MachineCaps caps;
-  // Keyed off the same macro that guards the kernels in
-  // engine/simd_kernels.h — every TU sees one -march, so the two stay
-  // consistent.
-#if defined(__AVX2__)
-  caps.simd = true;
-#endif
   caps.threads = default_thread_count();
-  const topo::HardwareTopology& topology = topo::HardwareTopology::shared();
-  caps.numa_nodes = topology.node_count();
-  caps.remote_penalty = topology.remote_penalty();
   return caps;
-}
-
-double interconnect_factor(double concurrency,
-                           const topo::HardwareTopology& topology) {
-  const std::size_t nodes = topology.node_count();
-  if (nodes <= 1) return 1.0;
-  std::size_t largest_node = 0;
-  for (std::size_t k = 0; k < nodes; ++k) {
-    largest_node = std::max(largest_node, topology.node_cores(k));
-  }
-  if (concurrency <= static_cast<double>(largest_node)) return 1.0;
-  const double penalty = topology.remote_penalty();
-  const double remote_fraction =
-      static_cast<double>(nodes - 1) / static_cast<double>(nodes);
-  return 1.0 + (penalty - 1.0) * remote_fraction;
 }
 
 EngineBackend select_backend(const PlanShape& shape, std::size_t lanes,
@@ -82,9 +54,6 @@ EngineBackend select_backend(const PlanShape& shape, std::size_t lanes,
   if (caps.threads > 1 && lanes >= kThreadedMinLanes &&
       lanes * gates >= kThreadedMinWork) {
     return EngineBackend::kThreaded;
-  }
-  if (caps.simd && shape.width2_fraction() >= kSimdMinWidth2Fraction) {
-    return EngineBackend::kSimd;
   }
   return EngineBackend::kBatch;
 }

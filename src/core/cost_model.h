@@ -24,10 +24,6 @@ namespace tune {
 class MachineProfile;  // tune/profile.h — measured autotuning cells
 }  // namespace tune
 
-namespace topo {
-class HardwareTopology;  // topo/topology.h — NUMA nodes and distances
-}  // namespace topo
-
 struct NetworkCost {
   std::size_t gates = 0;
   std::size_t endpoints = 0;  ///< sum of gate widths
@@ -100,18 +96,17 @@ using BaseCost = std::function<NetworkCost(std::size_t p, std::size_t q)>;
 
 /// The registered execution backends. kAuto is a *request*, resolved by
 /// select_backend() against the plan shape and machine caps at dispatch
-/// time; the other four name concrete implementations.
+/// time; the other three name concrete implementations.
 enum class EngineBackend : std::uint8_t {
   kAuto = 0,
   kScalar,    ///< one lane at a time, scalar kernels (the reference)
   kBatch,     ///< SoA batch, cache-blocked, auto-vectorized lane loops
-  kSimd,      ///< SoA batch with explicit AVX2 compare-exchange kernels
   kThreaded,  ///< SoA batch sharded over the runtime's ThreadPool
 };
 
 [[nodiscard]] const char* to_string(EngineBackend backend);
 
-/// Parses "auto" / "scalar" / "batch" / "simd" / "threaded" (the CLI's
+/// Parses "auto" / "scalar" / "batch" / "threaded" (the CLI's
 /// --engine= values and the SCNET_BACKEND variable); nullopt on anything
 /// else.
 [[nodiscard]] std::optional<EngineBackend> parse_backend(
@@ -129,51 +124,19 @@ struct PlanShape {
   std::size_t depth = 0;
   std::size_t pair_gates = 0;  ///< width-2 gates across all layers
   std::size_t wide_gates = 0;  ///< gates wider than 2
-
-  /// Fraction of gates that are width-2 (1.0 for a gate-free plan): the
-  /// SIMD backend's kernels cover exactly these, so a plan dominated by
-  /// them is where explicit vectorization wins.
-  [[nodiscard]] double width2_fraction() const {
-    const std::size_t total = pair_gates + wide_gates;
-    return total == 0 ? 1.0
-                      : static_cast<double>(pair_gates) /
-                            static_cast<double>(total);
-  }
 };
 
 /// What the host offers the backends.
 struct MachineCaps {
-  bool simd = false;          ///< AVX2 compare-exchange kernels compiled in
-  std::size_t threads = 1;    ///< worker threads a pool would get
-  /// NUMA nodes of the shared HardwareTopology (1 == flat machine). The
-  /// tune/ profile fingerprint deliberately ignores these two fields:
-  /// simd x threads pin the measured cells, topology only scales the
-  /// planner's predictions.
-  std::size_t numa_nodes = 1;
-  /// Worst remote/local distance ratio (1.0 on a single node).
-  double remote_penalty = 1.0;
+  std::size_t threads = 1;  ///< worker threads a pool would get
 };
 
-/// Capabilities of this build on this host: simd reflects whether the
-/// engine's AVX2 kernels were compiled in (-march=native / -mavx2), threads
-/// is default_thread_count(), numa_nodes/remote_penalty come from
-/// topo::HardwareTopology::shared().
+/// Capabilities of this host: threads is default_thread_count().
 [[nodiscard]] MachineCaps machine_caps();
-
-/// Interconnect multiplier for running `concurrency` concurrent tokens /
-/// workers on `topology`: 1.0 while the load fits on one node (single-node
-/// topologies, or concurrency no larger than the largest node), else
-/// 1 + (remote_penalty - 1) * (N - 1) / N — the expected access-cost
-/// inflation when shared words are spread uniformly over N nodes. The
-/// planner multiplies predicted latency by this, so candidates whose
-/// concurrency spills across sockets are charged for the crossing.
-[[nodiscard]] double interconnect_factor(double concurrency,
-                                         const topo::HardwareTopology& topology);
 
 /// Thresholds of the dispatch policy (exposed for tests and docs).
 inline constexpr std::size_t kThreadedMinLanes = 256;
 inline constexpr std::size_t kThreadedMinWork = 1u << 18;  ///< lanes x gates
-inline constexpr double kSimdMinWidth2Fraction = 0.75;
 
 /// Picks the backend for running `lanes` independent input vectors through
 /// a plan of the given shape:
@@ -181,7 +144,6 @@ inline constexpr double kSimdMinWidth2Fraction = 0.75;
 ///     scalar;
 ///   * enough total work (lanes x gates >= kThreadedMinWork) over enough
 ///     lanes on a multi-core host amortizes pool dispatch — threaded;
-///   * a width-2-dominated plan with the SIMD kernels compiled in — simd;
 ///   * otherwise the auto-vectorized batch tier.
 [[nodiscard]] EngineBackend select_backend(const PlanShape& shape,
                                            std::size_t lanes,

@@ -9,7 +9,6 @@
 #include "core/l_network.h"
 #include "opt/optimal_lib.h"
 #include "perf/contention_model.h"
-#include "topo/topology.h"
 #include "tune/profile.h"
 
 namespace scn {
@@ -22,14 +21,6 @@ std::vector<Plan> plan_candidates(const PlanRequirements& req) {
       (req.profile != nullptr && req.profile->matches(machine_caps()))
           ? req.profile
           : nullptr;
-  const topo::HardwareTopology& topology =
-      req.topology != nullptr ? *req.topology
-                              : topo::HardwareTopology::shared();
-  // Uniform over candidates (it depends on concurrency x topology, not on
-  // the network), so it scales predictions without reordering them — but
-  // the absolute latencies and the rationale now tell the truth about
-  // socket crossings.
-  const double interconnect = interconnect_factor(req.concurrency, topology);
   // Candidate enumeration builds every K/L member it scores. Those builds
   // route through the module cache (core/module.h): distinct factorizations
   // miss once each, but the shared sub-modules (R(p, q), S, T, D) intern
@@ -51,8 +42,7 @@ std::vector<Plan> plan_candidates(const PlanRequirements& req) {
                                              : make_l_network(factors);
       const ContentionEstimate est = estimate_contention(plan.network);
       plan.predicted_latency =
-          est.predicted_latency(req.concurrency, req.alpha, req.beta) *
-          interconnect;
+          est.predicted_latency(req.concurrency, req.alpha, req.beta);
       PlanShape shape;
       shape.width = plan.network.width();
       shape.depth = plan.network.depth();
@@ -78,10 +68,6 @@ std::vector<Plan> plan_candidates(const PlanRequirements& req) {
           << plan.predicted_latency << " at T=" << req.concurrency
           << ", engine backend " << to_string(plan.recommended_backend)
           << " at B=" << req.batch_lanes;
-      if (interconnect > 1.0) {
-        why << ", interconnect x" << interconnect << " ("
-            << topology.node_count() << " nodes)";
-      }
       if (cell != nullptr) {
         why << " [profile: " << cell->vectors_per_sec << " vectors/s measured"
             << " at B=" << cell->lanes << "]";

@@ -40,11 +40,6 @@ struct PlanRequirements {
   /// MachineCaps fingerprint, measured cells override the static scoring
   /// (see the header comment). Not owned; may be null.
   const tune::MachineProfile* profile = nullptr;
-  /// Hardware topology the predicted latency is scaled by: when the
-  /// requested concurrency spills past one node, every candidate's latency
-  /// is multiplied by interconnect_factor() and the rationale says so.
-  /// nullptr => topo::HardwareTopology::shared(). Not owned.
-  const topo::HardwareTopology* topology = nullptr;
 };
 
 struct Plan {

@@ -1,180 +1,27 @@
 #include "engine/backend.h"
 
-#include <algorithm>
 #include <cassert>
-#include <optional>
 #include <string>
 
 #include "engine/batch_engine.h"
-#include "engine/kernels.h"
-#include "engine/simd_kernels.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/runtime.h"
-#include "topo/placement.h"
-#include "topo/topology.h"
 
 namespace scn::engine {
 namespace {
 
 // ---------------------------------------------------------------------------
-// SIMD lane runners. Same structure as the batch tier in batch_engine.cpp —
-// cache-blocked over the lane dimension, with a layer-major traced twin —
-// but the width-2 inner loops go through the explicit kernels in
-// engine/simd_kernels.h instead of relying on auto-vectorization. Wide
-// count gates keep the scalar sum-then-redistribute loops: they are
-// row-wise over lanes and carry no compare-exchange to hand-vectorize.
-
-// Same blocking rationale as batch_engine.cpp: 256 lanes x 8 bytes = 2 KB
-// per row segment keeps the plan's row revisits in cache.
-constexpr std::size_t kSimdExecBlock = 256;
-
-void simd_comparator_layer(const ExecutionPlan& plan,
-                           const ExecutionPlan::Layer& layer,
-                           Batch<Count>& batch, std::size_t block_begin,
-                           std::size_t block_end) {
-  const auto& pairs = plan.pair_wires();
-  const auto& ces = plan.ce_wires();
-  const std::size_t n = block_end - block_begin;
-  for (std::uint32_t k = layer.pair_begin; k < layer.pair_end; ++k) {
-    Count* hi = batch.row(static_cast<std::size_t>(pairs[2 * k])).data();
-    Count* lo = batch.row(static_cast<std::size_t>(pairs[2 * k + 1])).data();
-    simd::pair_sort_rows(hi + block_begin, lo + block_begin, n);
-  }
-  for (std::uint32_t k = layer.ce_begin; k < layer.ce_end; ++k) {
-    Count* hi = batch.row(static_cast<std::size_t>(ces[2 * k])).data();
-    Count* lo = batch.row(static_cast<std::size_t>(ces[2 * k + 1])).data();
-    simd::pair_sort_rows(hi + block_begin, lo + block_begin, n);
-  }
-}
-
-void simd_count_layer(const ExecutionPlan& plan,
-                      const ExecutionPlan::Layer& layer, Batch<Count>& batch,
-                      std::size_t block_begin, std::size_t block_end,
-                      std::vector<Count>& totals) {
-  const auto& pairs = plan.pair_wires();
-  const auto& wides = plan.wide_gates();
-  const auto& wide_wires = plan.wide_wires();
-  const std::size_t n = block_end - block_begin;
-  for (std::uint32_t k = layer.pair_begin; k < layer.pair_end; ++k) {
-    Count* hi = batch.row(static_cast<std::size_t>(pairs[2 * k])).data();
-    Count* lo = batch.row(static_cast<std::size_t>(pairs[2 * k + 1])).data();
-    simd::pair_count_rows(hi + block_begin, lo + block_begin, n);
-  }
-  for (std::uint32_t g = layer.wide_begin; g < layer.wide_end; ++g) {
-    const ExecutionPlan::WideGate wg = wides[g];
-    const Wire* ws = wide_wires.data() + wg.first;
-    const auto p = static_cast<Count>(wg.width);
-    std::fill(totals.begin(), totals.begin() + static_cast<std::ptrdiff_t>(n),
-              Count{0});
-    for (std::uint32_t i = 0; i < wg.width; ++i) {
-      const Count* row =
-          batch.row(static_cast<std::size_t>(ws[i])).data() + block_begin;
-      for (std::size_t j = 0; j < n; ++j) totals[j] += row[j];
-    }
-    for (std::uint32_t i = 0; i < wg.width; ++i) {
-      Count* row =
-          batch.row(static_cast<std::size_t>(ws[i])).data() + block_begin;
-      const Count bias = p - 1 - static_cast<Count>(i);
-      // counts are non-negative, so totals[j] + bias >= 0: plain division
-      // implements ceil((total - i) / p), same as the batch tier.
-      for (std::size_t j = 0; j < n; ++j) row[j] = (totals[j] + bias) / p;
-    }
-  }
-}
-
-void simd_comparator_lanes(const ExecutionPlan& plan, Batch<Count>& batch,
-                           std::size_t lane_begin, std::size_t lane_end) {
-  for (std::size_t b = lane_begin; b < lane_end; b += kSimdExecBlock) {
-    const std::size_t e = std::min(b + kSimdExecBlock, lane_end);
-    for (const ExecutionPlan::Layer& layer : plan.layers()) {
-      simd_comparator_layer(plan, layer, batch, b, e);
-    }
-  }
-}
-
-void simd_count_lanes(const ExecutionPlan& plan, Batch<Count>& batch,
-                      std::size_t lane_begin, std::size_t lane_end) {
-  std::vector<Count> totals(
-      plan.wide_gates().empty()
-          ? 0
-          : std::min<std::size_t>(kSimdExecBlock, lane_end - lane_begin));
-  for (std::size_t b = lane_begin; b < lane_end; b += kSimdExecBlock) {
-    const std::size_t e = std::min(b + kSimdExecBlock, lane_end);
-    for (const ExecutionPlan::Layer& layer : plan.layers()) {
-      simd_count_layer(plan, layer, batch, b, e, totals);
-    }
-  }
-}
-
-// Traced twins: layer-major over the whole lane range so each layer is one
-// span, exactly like the batch tier's. Kernels are lane-pointwise within a
-// layer, so giving up the cache blocking changes nothing but timing.
-std::string simd_layer_args(const ExecutionPlan::Layer& layer,
-                            std::size_t lanes) {
-  const auto pairs = layer.pair_end - layer.pair_begin;
-  const auto ces = layer.ce_end - layer.ce_begin;
-  const auto wides = layer.wide_end - layer.wide_begin;
-  return "{\"pairs\":" + std::to_string(pairs) + ",\"ce\":" +
-         std::to_string(ces) + ",\"wide\":" + std::to_string(wides) +
-         ",\"lanes\":" + std::to_string(lanes) + "}";
-}
-
-void simd_comparator_lanes_traced(const ExecutionPlan& plan,
-                                  Batch<Count>& batch, std::size_t lane_begin,
-                                  std::size_t lane_end) {
-  std::size_t li = 0;
-  for (const ExecutionPlan::Layer& layer : plan.layers()) {
-    obs::ScopedSpan span("engine.layer", "layer " + std::to_string(li++),
-                         simd_layer_args(layer, lane_end - lane_begin));
-    simd_comparator_layer(plan, layer, batch, lane_begin, lane_end);
-  }
-}
-
-void simd_count_lanes_traced(const ExecutionPlan& plan, Batch<Count>& batch,
-                             std::size_t lane_begin, std::size_t lane_end) {
-  std::vector<Count> totals(
-      plan.wide_gates().empty() ? 0 : lane_end - lane_begin);
-  std::size_t li = 0;
-  for (const ExecutionPlan::Layer& layer : plan.layers()) {
-    obs::ScopedSpan span("engine.layer", "layer " + std::to_string(li++),
-                         simd_layer_args(layer, lane_end - lane_begin));
-    simd_count_layer(plan, layer, batch, lane_begin, lane_end, totals);
-  }
-}
-
-using SimdLaneRunner = void (*)(const ExecutionPlan&, Batch<Count>&,
-                                std::size_t, std::size_t);
-
-SimdLaneRunner simd_comparator_runner() {
-  if constexpr (obs::compiled_in()) {
-    if (obs::Tracer::shared().active()) return &simd_comparator_lanes_traced;
-  }
-  return &simd_comparator_lanes;
-}
-
-SimdLaneRunner simd_count_runner() {
-  if constexpr (obs::compiled_in()) {
-    if (obs::Tracer::shared().active()) return &simd_count_lanes_traced;
-  }
-  return &simd_count_lanes;
-}
-
-// ---------------------------------------------------------------------------
 // Backend implementations. All stateless; metrics stay the tier functions'
 // job (engine.run.scalar / engine.run.batch fire where the work happens,
-// not in the dispatcher), so the scalar/batch/threaded backends are thin
-// adapters over batch_engine.h and the simd backend counts itself the way
-// a tier does.
+// not in the dispatcher), so the backends are thin adapters over
+// batch_engine.h.
 
 class ScalarBackend final : public Backend {
  public:
   [[nodiscard]] const char* name() const override { return "scalar"; }
   [[nodiscard]] BackendCaps caps() const override {
-    return {.lane_parallel = false,
-            .uses_pool = false,
-            .explicit_simd = false,
-            .min_profitable_lanes = 1};
+    return {.uses_pool = false};
   }
   void run_batch(const ExecutionPlan& plan, Batch<Count>& batch,
                  Runtime& /*rt*/) const override {
@@ -200,10 +47,7 @@ class BatchBackend final : public Backend {
  public:
   [[nodiscard]] const char* name() const override { return "batch"; }
   [[nodiscard]] BackendCaps caps() const override {
-    return {.lane_parallel = true,
-            .uses_pool = false,
-            .explicit_simd = false,
-            .min_profitable_lanes = 2};
+    return {.uses_pool = false};
   }
   void run_batch(const ExecutionPlan& plan, Batch<Count>& batch,
                  Runtime& /*rt*/) const override {
@@ -215,63 +59,18 @@ class BatchBackend final : public Backend {
   }
 };
 
-class SimdBackend final : public Backend {
- public:
-  [[nodiscard]] const char* name() const override { return "simd"; }
-  [[nodiscard]] BackendCaps caps() const override {
-    return {.lane_parallel = true,
-            .uses_pool = false,
-            .explicit_simd = simd::compiled_in(),
-            .min_profitable_lanes = 2};
-  }
-  void run_batch(const ExecutionPlan& plan, Batch<Count>& batch,
-                 Runtime& /*rt*/) const override {
-    assert(batch.width() == plan.width());
-    SCNET_COUNTER_ADD("engine.run.batch", 1);
-    SCNET_HISTOGRAM_RECORD("engine.batch.lanes", batch.batch_size());
-    SCNET_TRACE_SPAN("engine", "run_plan_batch(simd)");
-    simd_comparator_runner()(plan, batch, 0, batch.batch_size());
-  }
-  void run_counts_batch(const ExecutionPlan& plan, Batch<Count>& batch,
-                        Runtime& /*rt*/) const override {
-    assert(batch.width() == plan.width());
-    SCNET_COUNTER_ADD("engine.run.batch", 1);
-    SCNET_HISTOGRAM_RECORD("engine.batch.lanes", batch.batch_size());
-    SCNET_TRACE_SPAN("engine", "run_plan_counts_batch(simd)");
-    simd_count_runner()(plan, batch, 0, batch.batch_size());
-  }
-};
-
 class ThreadedBackend final : public Backend {
  public:
   [[nodiscard]] const char* name() const override { return "threaded"; }
   [[nodiscard]] BackendCaps caps() const override {
-    return {.lane_parallel = true,
-            .uses_pool = true,
-            .explicit_simd = false,
-            .min_profitable_lanes = kThreadedMinLanes};
+    return {.uses_pool = true};
   }
-  // When the runtime sits on a multi-node topology (and placement is on),
-  // lanes are partitioned by PlacementPlan onto node-affine worker groups
-  // instead of blind striping; the two paths are bit-identical (lanes are
-  // independent, all boundaries deterministic), so this is purely a
-  // locality decision. The placement depends only on plan shape x topology
-  // x pool size, all fixed per runtime, so it is solved per call without
-  // caching (it is a handful of integer divisions).
   void run_batch(const ExecutionPlan& plan, Batch<Count>& batch,
                  Runtime& rt) const override {
-    if (const auto placement = placement_for(plan, rt)) {
-      run_plan_batch(plan, batch, rt.pool(), *placement);
-      return;
-    }
     run_plan_batch(plan, batch, rt.pool());
   }
   void run_counts_batch(const ExecutionPlan& plan, Batch<Count>& batch,
                         Runtime& rt) const override {
-    if (const auto placement = placement_for(plan, rt)) {
-      run_plan_counts_batch(plan, batch, rt.pool(), *placement);
-      return;
-    }
     run_plan_counts_batch(plan, batch, rt.pool());
   }
   // The tier's pack -> run -> unpack path shards the transposes along with
@@ -279,30 +78,12 @@ class ThreadedBackend final : public Backend {
   [[nodiscard]] std::vector<std::vector<Count>> sort_batch(
       const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
       Runtime& rt) const override {
-    if (const auto placement = placement_for(plan, rt)) {
-      return plan_sort_batch(plan, inputs, rt.pool(), *placement);
-    }
     return plan_sort_batch(plan, inputs, &rt.pool());
   }
   [[nodiscard]] std::vector<std::vector<Count>> count_batch(
       const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
       Runtime& rt) const override {
-    if (const auto placement = placement_for(plan, rt)) {
-      return plan_count_batch(plan, inputs, rt.pool(), *placement);
-    }
     return plan_count_batch(plan, inputs, &rt.pool());
-  }
-
- private:
-  [[nodiscard]] static std::optional<topo::PlacementPlan> placement_for(
-      const ExecutionPlan& plan, Runtime& rt) {
-    if (!rt.placement_enabled() || rt.pool().group_count() <= 1) {
-      return std::nullopt;
-    }
-    topo::PlacementPlan placement =
-        topo::plan_placement(plan, rt.topology(), rt.pool().size());
-    if (!placement.multi_node()) return std::nullopt;
-    return placement;
   }
 };
 
@@ -318,9 +99,6 @@ void count_dispatch(EngineBackend resolved) {
       break;
     case EngineBackend::kBatch:
       SCNET_COUNTER_ADD("engine.backend.batch.dispatches", 1);
-      break;
-    case EngineBackend::kSimd:
-      SCNET_COUNTER_ADD("engine.backend.simd.dispatches", 1);
       break;
     case EngineBackend::kThreaded:
       SCNET_COUNTER_ADD("engine.backend.threaded.dispatches", 1);
@@ -395,13 +173,10 @@ std::vector<std::vector<Count>> Backend::count_batch(
 const Backend& backend(EngineBackend which) {
   static const ScalarBackend scalar;
   static const BatchBackend batch;
-  static const SimdBackend simd;
   static const ThreadedBackend threaded;
   switch (which) {
     case EngineBackend::kBatch:
       return batch;
-    case EngineBackend::kSimd:
-      return simd;
     case EngineBackend::kThreaded:
       return threaded;
     case EngineBackend::kAuto:
@@ -413,8 +188,7 @@ const Backend& backend(EngineBackend which) {
 
 std::span<const EngineBackend> registered_backends() {
   static constexpr EngineBackend kAll[] = {
-      EngineBackend::kScalar, EngineBackend::kBatch, EngineBackend::kSimd,
-      EngineBackend::kThreaded};
+      EngineBackend::kScalar, EngineBackend::kBatch, EngineBackend::kThreaded};
   return kAll;
 }
 
@@ -430,8 +204,8 @@ PlanShape plan_shape(const ExecutionPlan& plan) {
 EngineBackend resolve_backend(EngineBackend requested,
                               const ExecutionPlan& plan, std::size_t lanes) {
   if (requested != EngineBackend::kAuto) return requested;
-  // Machine caps are stable for the process (compile-time SIMD flag,
-  // SCNET_THREADS read once) — sample them once, not per dispatch.
+  // Machine caps are stable for the process (SCNET_THREADS read once) —
+  // sample them once, not per dispatch.
   static const MachineCaps caps = machine_caps();
   return select_backend(plan_shape(plan), lanes, caps);
 }

@@ -8,10 +8,6 @@
 //                  reference implementation every other backend is pinned
 //                  against.
 //   * `batch`    — the cache-blocked SoA tier; lane loops auto-vectorize.
-//   * `simd`     — SoA with explicit AVX2 compare-exchange kernels
-//                  (engine/simd_kernels.h); falls back to scalar kernels
-//                  when AVX2 is not compiled in, staying registered and
-//                  bit-identical on every build.
 //   * `threaded` — the SoA tier sharded over the runtime's ThreadPool.
 //
 // Callers do not pick a Backend directly: they pass an EngineBackend
@@ -42,14 +38,10 @@ class Runtime;  // runtime/runtime.h — source of the pool for run_batch
 
 namespace engine {
 
-/// Static capability/cost descriptors of a backend, consumed by tooling
-/// and the docs' capability matrix; the dispatch policy itself lives in
-/// core/cost_model.h (select_backend).
+/// Static capability descriptor of a backend, consumed by tooling; the
+/// dispatch policy itself lives in core/cost_model.h (select_backend).
 struct BackendCaps {
-  bool lane_parallel = false;   ///< exploits the batch (lane) dimension
-  bool uses_pool = false;       ///< dispatches onto the runtime's ThreadPool
-  bool explicit_simd = false;   ///< hand-written vector kernels compiled in
-  std::size_t min_profitable_lanes = 1;  ///< below this, prefer scalar
+  bool uses_pool = false;  ///< dispatches onto the runtime's ThreadPool
 };
 
 /// One execution strategy for a compiled plan. Implementations are
@@ -101,7 +93,7 @@ class Backend {
 [[nodiscard]] const Backend& backend(EngineBackend which);
 
 /// Every concrete registered backend, in registration order
-/// (scalar, batch, simd, threaded) — the sweep tests iterate this.
+/// (scalar, batch, threaded) — the sweep tests iterate this.
 [[nodiscard]] std::span<const EngineBackend> registered_backends();
 
 /// The shape facts the dispatch policy scores a plan by.

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <condition_variable>
-#include <memory>
-#include <mutex>
 #include <string>
 
 #include "engine/backend.h"
@@ -223,65 +220,6 @@ void run_sharded(const ExecutionPlan& plan, Batch<Count>& batch,
                     });
 }
 
-// Runs `body(begin, end)` over [0, n) partitioned by the placement: each
-// node's contiguous lane range (placement.lane_ranges) is sub-chunked
-// across that node's worker group and submitted via submit_to_group, so
-// the work lands on the lanes' home node. The caller blocks until every
-// chunk is done (group queues always drain: the pool has >= 1 worker and
-// empty groups fall back to the shared queue). Chunk boundaries are pure
-// functions of (n, placement, grain) — determinism is preserved.
-void placed_for(ThreadPool& pool, const topo::PlacementPlan& placement,
-                std::size_t n, std::size_t grain,
-                const std::function<void(std::size_t, std::size_t)>& body) {
-  if (n == 0) return;
-  grain = std::max<std::size_t>(1, grain);
-  struct State {
-    std::size_t done = 0;
-    std::mutex mu;
-    std::condition_variable cv;
-  };
-  auto state = std::make_shared<State>();
-  std::size_t tasks = 0;
-  for (const topo::PlacementPlan::LaneRange& range : placement.lane_ranges(n)) {
-    if (range.begin == range.end) continue;
-    const std::size_t len = range.end - range.begin;
-    const std::size_t workers =
-        range.node < pool.group_count()
-            ? std::max<std::size_t>(1, pool.group_size(range.node))
-            : 1;
-    const std::size_t chunks =
-        std::min(workers, std::max<std::size_t>(1, len / grain));
-    const std::size_t base = len / chunks;
-    const std::size_t extra = len % chunks;
-    std::size_t begin = range.begin;
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const std::size_t end = begin + base + (c < extra ? 1 : 0);
-      ++tasks;
-      pool.submit_to_group(range.node, [state, begin, end, &body] {
-        body(begin, end);
-        {
-          const std::lock_guard<std::mutex> lock(state->mu);
-          ++state->done;
-        }
-        state->cv.notify_all();
-      });
-      begin = end;
-    }
-  }
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->cv.wait(lock, [&] { return state->done == tasks; });
-}
-
-void run_placed(const ExecutionPlan& plan, Batch<Count>& batch,
-                ThreadPool& pool, const topo::PlacementPlan& placement,
-                std::size_t min_lanes_per_task, LaneRunner runner) {
-  assert(batch.width() == plan.width());
-  placed_for(pool, placement, batch.batch_size(), min_lanes_per_task,
-             [&](std::size_t begin, std::size_t end) {
-               runner(plan, batch, begin, end);
-             });
-}
-
 // Pack -> run -> unpack, each shard handling its own lane range end to end
 // (the transposes parallelize with the kernels; lanes are independent).
 std::vector<std::vector<Count>> run_packed(
@@ -426,64 +364,6 @@ void run_plan_counts_batch(const ExecutionPlan& plan,
   SCNET_HISTOGRAM_RECORD("engine.batch.lanes", batch.batch_size());
   SCNET_TRACE_SPAN("engine", "run_plan_counts_batch(pool)");
   run_sharded(plan, batch, pool, min_lanes_per_task, count_runner());
-}
-
-void run_plan_batch(const ExecutionPlan& plan, engine::Batch<Count>& batch,
-                    ThreadPool& pool, const topo::PlacementPlan& placement,
-                    std::size_t min_lanes_per_task) {
-  SCNET_COUNTER_ADD("engine.run.placed", 1);
-  SCNET_HISTOGRAM_RECORD("engine.batch.lanes", batch.batch_size());
-  SCNET_TRACE_SPAN("engine", "run_plan_batch(placed)");
-  run_placed(plan, batch, pool, placement, min_lanes_per_task,
-             comparator_runner());
-}
-
-void run_plan_counts_batch(const ExecutionPlan& plan,
-                           engine::Batch<Count>& batch, ThreadPool& pool,
-                           const topo::PlacementPlan& placement,
-                           std::size_t min_lanes_per_task) {
-  SCNET_COUNTER_ADD("engine.run.placed", 1);
-  SCNET_HISTOGRAM_RECORD("engine.batch.lanes", batch.batch_size());
-  SCNET_TRACE_SPAN("engine", "run_plan_counts_batch(placed)");
-  run_placed(plan, batch, pool, placement, min_lanes_per_task, count_runner());
-}
-
-std::vector<std::vector<Count>> plan_sort_batch(
-    const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
-    ThreadPool& pool, const topo::PlacementPlan& placement) {
-  SCNET_COUNTER_ADD("engine.run.placed", 1);
-  SCNET_HISTOGRAM_RECORD("engine.batch.lanes", inputs.size());
-  SCNET_TRACE_SPAN("engine", "plan_sort_batch(placed)");
-  Batch<Count> batch(plan.width(), inputs.size());
-  std::vector<std::vector<Count>> outs(inputs.size(),
-                                       std::vector<Count>(plan.width()));
-  const LaneRunner runner = comparator_runner();
-  placed_for(pool, placement, inputs.size(), 64,
-             [&](std::size_t begin, std::size_t end) {
-               pack_lanes(batch, inputs, begin, end);
-               runner(plan, batch, begin, end);
-               unpack_lanes(batch, plan.output_order(), outs, begin, end);
-             });
-  return outs;
-}
-
-std::vector<std::vector<Count>> plan_count_batch(
-    const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
-    ThreadPool& pool, const topo::PlacementPlan& placement) {
-  SCNET_COUNTER_ADD("engine.run.placed", 1);
-  SCNET_HISTOGRAM_RECORD("engine.batch.lanes", inputs.size());
-  SCNET_TRACE_SPAN("engine", "plan_count_batch(placed)");
-  Batch<Count> batch(plan.width(), inputs.size());
-  std::vector<std::vector<Count>> outs(inputs.size(),
-                                       std::vector<Count>(plan.width()));
-  const LaneRunner runner = count_runner();
-  placed_for(pool, placement, inputs.size(), 64,
-             [&](std::size_t begin, std::size_t end) {
-               pack_lanes(batch, inputs, begin, end);
-               runner(plan, batch, begin, end);
-               unpack_lanes(batch, plan.output_order(), outs, begin, end);
-             });
-  return outs;
 }
 
 std::vector<std::vector<Count>> plan_sort_batch(

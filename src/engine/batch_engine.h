@@ -23,7 +23,6 @@
 #include "engine/execution_plan.h"
 #include "perf/thread_pool.h"
 #include "seq/sequence_props.h"
-#include "topo/placement.h"
 
 namespace scn {
 
@@ -72,36 +71,6 @@ void run_plan_batch(const ExecutionPlan& plan, engine::Batch<Count>& batch,
 void run_plan_counts_batch(const ExecutionPlan& plan,
                            engine::Batch<Count>& batch, ThreadPool& pool,
                            std::size_t min_lanes_per_task = 64);
-
-// ---------------------------------------------------------------------------
-// Placed threaded tier.
-//
-// Same sharding idea, but the lane split follows a PlacementPlan: one
-// contiguous range per topology node (placement.lane_ranges), each range
-// sub-chunked across that node's worker group and submitted with
-// pool.submit_to_group(), so a lane's whole layer walk stays on its home
-// node. Results are bit-identical to the blind-striping overloads: lanes
-// are independent and all chunk boundaries are pure functions of
-// (lanes, placement), never of scheduling.
-
-void run_plan_batch(const ExecutionPlan& plan, engine::Batch<Count>& batch,
-                    ThreadPool& pool, const topo::PlacementPlan& placement,
-                    std::size_t min_lanes_per_task = 64);
-
-void run_plan_counts_batch(const ExecutionPlan& plan,
-                           engine::Batch<Count>& batch, ThreadPool& pool,
-                           const topo::PlacementPlan& placement,
-                           std::size_t min_lanes_per_task = 64);
-
-/// Placed pack -> run -> unpack (see plan_sort_batch / plan_count_batch
-/// below); the transposes run on the lanes' home nodes too.
-[[nodiscard]] std::vector<std::vector<Count>> plan_sort_batch(
-    const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
-    ThreadPool& pool, const topo::PlacementPlan& placement);
-
-[[nodiscard]] std::vector<std::vector<Count>> plan_count_batch(
-    const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
-    ThreadPool& pool, const topo::PlacementPlan& placement);
 
 // ---------------------------------------------------------------------------
 // Convenience wrappers.

@@ -7,15 +7,6 @@ namespace scn {
 
 namespace {
 
-// Pastel fill palette for placement clusters, one color per topology node
-// (cycled past 8 nodes). Chosen light so black gate labels stay readable.
-constexpr const char* kNodePalette[] = {
-    "#cfe2f3", "#d9ead3", "#fff2cc", "#f4cccc",
-    "#d9d2e9", "#fce5cd", "#d0e0e3", "#ead1dc",
-};
-constexpr std::size_t kNodePaletteSize =
-    sizeof(kNodePalette) / sizeof(kNodePalette[0]);
-
 /// Maps a visit count onto the 9-step Graphviz `oranges9` scheme: 1 for
 /// cold gates, 9 for the hottest. Linear in visits/max — contention is
 /// what the ramp should scream about, and the hottest gate IS the story.
@@ -57,8 +48,6 @@ std::string to_dot(const Network& net, const DotOptions& opts) {
   // silently degrades to the structural rendering rather than misleading.
   const bool heat = opts.overlay == DotOverlay::kContention &&
                     opts.gate_visits.size() == net.gate_count();
-  const bool placed = opts.overlay == DotOverlay::kPlacement &&
-                      opts.layer_nodes.size() == net.depth();
   std::uint64_t max_visits = 0;
   if (heat) {
     for (const std::uint64_t v : opts.gate_visits) {
@@ -86,16 +75,8 @@ std::string to_dot(const Network& net, const DotOptions& opts) {
     // caption matches the per-gate "@L<k>" annotations.
     const std::size_t shown_layer =
         layer_groups[l].empty() ? l + 1 : gates[layer_groups[l][0]].layer;
-    os << "    label=\"L" << shown_layer;
-    if (placed) os << " @node" << opts.layer_nodes[l];
-    os << "\";\n    fontsize=9;\n";
-    if (placed) {
-      os << "    style=filled;\n    fillcolor=\""
-         << kNodePalette[opts.layer_nodes[l] % kNodePaletteSize] << "\";\n";
-    } else {
-      os << "    style=dashed;\n";
-    }
-    os << "    rank=same;\n";
+    os << "    label=\"L" << shown_layer
+       << "\";\n    fontsize=9;\n    style=dashed;\n    rank=same;\n";
     for (const std::size_t gi : layer_groups[l]) {
       os << "    g" << gi << " [label=\"b" << gates[gi].width << " @L"
          << gates[gi].layer;
@@ -112,13 +93,14 @@ std::string to_dot(const Network& net, const DotOptions& opts) {
   // Edges: walk each wire through its gate sequence.
   std::vector<std::string> frontier(net.width());
   for (std::size_t w = 0; w < net.width(); ++w) {
-    frontier[w] = "in" + std::to_string(w);
+    frontier[w] = std::string("in").append(std::to_string(w));
   }
   for (std::size_t gi = 0; gi < gates.size(); ++gi) {
     for (const Wire w : net.gate_wires(gates[gi])) {
       os << "  " << frontier[static_cast<std::size_t>(w)] << " -> g" << gi
          << ";\n";
-      frontier[static_cast<std::size_t>(w)] = "g" + std::to_string(gi);
+      frontier[static_cast<std::size_t>(w)] =
+          std::string("g").append(std::to_string(gi));
     }
   }
   for (std::size_t w = 0; w < net.width(); ++w) {

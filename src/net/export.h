@@ -14,29 +14,24 @@ namespace scn {
 enum class DotOverlay {
   kNone,        ///< structural rendering only
   kContention,  ///< gates heat-colored by per-gate visit counts
-  kPlacement,   ///< layer clusters colored by their placement node
 };
 
-/// Options for the DOT renderer. The overlay data comes in as plain spans
-/// so this header stays free of engine/topo dependencies: callers bring
-/// per-gate visit counts from the sim's visit probe and per-layer node
-/// assignments from topo::PlacementPlan::layer_nodes. Spans that are empty
-/// or of the wrong length degrade to the structural rendering for the
-/// affected elements (never an error).
+/// Options for the DOT renderer. The overlay data comes in as a plain span
+/// so this header stays free of sim dependencies: callers bring per-gate
+/// visit counts from the sim's visit probe. A span that is empty or of the
+/// wrong length degrades to the structural rendering (never an error).
 struct DotOptions {
   std::string title = "network";
   DotOverlay overlay = DotOverlay::kNone;
   /// kContention: visits per gate, indexed by gate id (net.gate_count()).
   std::span<const std::uint64_t> gate_visits = {};
-  /// kPlacement: topology node per layer, indexed by layer (net.depth()).
-  std::span<const std::uint32_t> layer_nodes = {};
 };
 
 /// Graphviz DOT rendering: one node per gate (labelled with its width and
 /// layer), one cluster subgraph per layer (rank-aligned inside), edges
 /// along wires. Input and output terminals are shown as point nodes.
-/// Overlays color the structure by runtime metrics — contention heat per
-/// gate or placement node per layer cluster (see DotOptions).
+/// The contention overlay colors each gate by its visit count (see
+/// DotOptions).
 [[nodiscard]] std::string to_dot(const Network& net, const DotOptions& opts);
 [[nodiscard]] std::string to_dot(const Network& net,
                                  const std::string& title = "network");

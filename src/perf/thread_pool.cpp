@@ -5,43 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <string>
-
-#include "topo/topology.h"
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 namespace scn {
-namespace {
-
-/// Best-effort affinity: pins `worker` to `cpus`. No-op off Linux, for
-/// empty cpu lists, and for ids past CPU_SETSIZE; failures are ignored
-/// (affinity is an optimization, never a correctness requirement).
-void pin_to_cpus(std::thread& worker, const std::vector<int>& cpus) {
-#if defined(__linux__)
-  if (cpus.empty()) return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  bool any = false;
-  for (const int cpu : cpus) {
-    if (cpu >= 0 && cpu < CPU_SETSIZE) {
-      CPU_SET(static_cast<std::size_t>(cpu), &set);
-      any = true;
-    }
-  }
-  if (any) {
-    pthread_setaffinity_np(worker.native_handle(), sizeof(set), &set);
-  }
-#else
-  (void)worker;
-  (void)cpus;
-#endif
-}
-
-}  // namespace
 
 std::size_t default_thread_count() {
   if (const char* v = std::getenv("SCNET_THREADS")) {
@@ -63,26 +28,13 @@ std::size_t default_thread_count() {
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
-ThreadPool::ThreadPool(std::size_t threads,
-                       const topo::HardwareTopology* topology) {
+ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = default_thread_count();
   }
-  if (topology != nullptr && topology->node_count() > 1) {
-    group_sizes_ = topo::split_workers(threads, *topology);
-  } else {
-    group_sizes_.assign(1, threads);
-  }
-  group_queues_.resize(group_sizes_.size());
-  group_queue_heads_.assign(group_sizes_.size(), 0);
   workers_.reserve(threads);
-  const bool pin = topology != nullptr && topology->node_count() > 1 &&
-                   !topology->is_synthetic();
-  for (std::size_t g = 0; g < group_sizes_.size(); ++g) {
-    for (std::size_t t = 0; t < group_sizes_[g]; ++t) {
-      workers_.emplace_back([this, g] { worker_loop(g); });
-      if (pin) pin_to_cpus(workers_.back(), topology->node_cpus(g));
-    }
+  for (std::size_t t = 0; t < threads; ++t) {
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -103,68 +55,29 @@ void ThreadPool::submit(std::function<void()> task) {
   task_ready_.notify_one();
 }
 
-void ThreadPool::submit_to_group(std::size_t g, std::function<void()> task) {
-  if (g >= group_sizes_.size() || group_sizes_[g] == 0) {
-    submit(std::move(task));
-    return;
-  }
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    group_queues_[g].push_back(std::move(task));
-  }
-  // Only group g's workers may take this; notify_one could wake a worker
-  // from another group that goes straight back to sleep.
-  task_ready_.notify_all();
-}
-
-bool ThreadPool::all_drained() const {
-  if (queue_head_ != queue_.size()) return false;
-  for (std::size_t g = 0; g < group_queues_.size(); ++g) {
-    if (group_queue_heads_[g] != group_queues_[g].size()) return false;
-  }
-  return true;
-}
-
 void ThreadPool::wait_idle() {
   std::unique_lock<std::mutex> lock(mu_);
-  idle_.wait(lock, [this] { return all_drained() && active_ == 0; });
-  // Queues fully drained: reclaim the executed prefixes.
+  idle_.wait(lock,
+             [this] { return queue_head_ == queue_.size() && active_ == 0; });
+  // Queue fully drained: reclaim the executed prefix.
   queue_.clear();
   queue_head_ = 0;
-  for (std::size_t g = 0; g < group_queues_.size(); ++g) {
-    group_queues_[g].clear();
-    group_queue_heads_[g] = 0;
-  }
 }
 
-void ThreadPool::worker_loop(std::size_t group) {
+void ThreadPool::worker_loop() {
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
-    task_ready_.wait(lock, [this, group] {
-      return stopping_ ||
-             group_queue_heads_[group] < group_queues_[group].size() ||
-             queue_head_ < queue_.size();
-    });
-    std::function<void()> task;
-    // Group work first: it can only run here, while shared work has the
-    // whole pool behind it.
-    if (group_queue_heads_[group] < group_queues_[group].size()) {
-      task = std::move(group_queues_[group][group_queue_heads_[group]]);
-      ++group_queue_heads_[group];
-    } else if (queue_head_ < queue_.size()) {
-      task = std::move(queue_[queue_head_]);
-      ++queue_head_;
-    } else if (stopping_) {
-      return;
-    } else {
-      continue;
-    }
+    task_ready_.wait(
+        lock, [this] { return stopping_ || queue_head_ < queue_.size(); });
+    if (queue_head_ == queue_.size()) return;  // stopping and drained
+    std::function<void()> task = std::move(queue_[queue_head_]);
+    ++queue_head_;
     ++active_;
     lock.unlock();
     task();
     lock.lock();
     --active_;
-    if (all_drained() && active_ == 0) idle_.notify_all();
+    if (queue_head_ == queue_.size() && active_ == 0) idle_.notify_all();
   }
 }
 
@@ -215,7 +128,7 @@ void ThreadPool::parallel_for(
 }
 
 ThreadPool& ThreadPool::shared() {
-  static ThreadPool pool(0, &topo::HardwareTopology::shared());
+  static ThreadPool pool;
   return pool;
 }
 

@@ -8,17 +8,9 @@
 //   2. Reuse: worker threads are created once and parked between bursts,
 //      replacing the spawn-join-per-call pattern that previously dominated
 //      short verification sweeps.
-//   3. Topology-aware: when built against a multi-node HardwareTopology the
-//      workers are partitioned into node-affine GROUPS (split_workers
-//      apportionment, pinned via pthread_setaffinity_np on Linux for real
-//      topologies — synthetic SCNET_TOPOLOGY cpu ids are virtual, so
-//      pinning is skipped). submit() work is node-agnostic and any worker
-//      takes it; submit_to_group() work runs only on that node's workers,
-//      which is how placed execution keeps a lane range on its home node.
-//   4. Simplicity: a single mutex/condvar guarding one shared queue plus
-//      one queue per group. The work items we run (a plan over a column
-//      shard, a verification total) are coarse enough that queue overhead
-//      is noise.
+//   3. Simplicity: a single mutex/condvar guarding one FIFO queue. The
+//      work items we run (a plan over a column shard, a verification total)
+//      are coarse enough that queue overhead is noise.
 #pragma once
 
 #include <condition_variable>
@@ -27,10 +19,6 @@
 #include <mutex>
 #include <thread>
 #include <vector>
-
-namespace scn::topo {
-class HardwareTopology;
-}  // namespace scn::topo
 
 namespace scn {
 
@@ -49,11 +37,8 @@ inline constexpr std::size_t kMaxThreadCount = 512;
 class ThreadPool {
  public:
   /// Spawns `threads` workers (0 => default_thread_count(): SCNET_THREADS,
-  /// else hardware_concurrency, min 1). With a multi-node `topology` the
-  /// workers are split into node-affine groups; with nullptr or a
-  /// single-node topology there is one group holding every worker.
-  explicit ThreadPool(std::size_t threads = 0,
-                      const topo::HardwareTopology* topology = nullptr);
+  /// else hardware_concurrency, min 1).
+  explicit ThreadPool(std::size_t threads = 0);
 
   /// Drains outstanding tasks, then joins all workers.
   ~ThreadPool();
@@ -64,24 +49,8 @@ class ThreadPool {
   /// Number of worker threads.
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
 
-  /// Node-affine worker groups (>= 1; == 1 when topology-blind).
-  [[nodiscard]] std::size_t group_count() const {
-    return group_sizes_.size();
-  }
-  /// Workers in group `g`. Groups parallel the topology's node indices;
-  /// a group may be empty on a node the apportionment starved.
-  [[nodiscard]] std::size_t group_size(std::size_t g) const {
-    return group_sizes_[g];
-  }
-
-  /// Enqueues one task any worker may run. Tasks must not throw.
+  /// Enqueues one task. Tasks must not throw.
   void submit(std::function<void()> task);
-
-  /// Enqueues one task that only group `g`'s workers may run — the
-  /// placement substrate: placed execution submits each lane range's
-  /// chunks to the range's home node. Falls back to submit() when the
-  /// group is empty (a starved group must not strand its tasks).
-  void submit_to_group(std::size_t g, std::function<void()> task);
 
   /// Blocks until every submitted task has finished executing.
   void wait_idle();
@@ -94,26 +63,21 @@ class ThreadPool {
   void parallel_for(std::size_t n, std::size_t grain,
                     const std::function<void(std::size_t, std::size_t)>& body);
 
-  /// Process-wide pool sized by default_thread_count() over the shared
-  /// HardwareTopology, created on first use; this is the pool behind
-  /// Runtime::shared(). Shared by the batch engine and the verifiers so
-  /// the default runtime keeps one set of worker threads no matter how
-  /// many subsystems go parallel (private Runtimes spawn their own).
+  /// Process-wide pool sized by default_thread_count(), created on first
+  /// use; this is the pool behind Runtime::shared(). Shared by the batch
+  /// engine and the verifiers so the default runtime keeps one set of
+  /// worker threads no matter how many subsystems go parallel (private
+  /// Runtimes spawn their own).
   static ThreadPool& shared();
 
  private:
-  void worker_loop(std::size_t group);
-  [[nodiscard]] bool all_drained() const;
+  void worker_loop();
 
   std::mutex mu_;
   std::condition_variable task_ready_;
   std::condition_variable idle_;
   std::vector<std::function<void()>> queue_;  // FIFO via head index
   std::size_t queue_head_ = 0;
-  // One FIFO per group for submit_to_group (same head-index scheme).
-  std::vector<std::vector<std::function<void()>>> group_queues_;
-  std::vector<std::size_t> group_queue_heads_;
-  std::vector<std::size_t> group_sizes_;
   std::size_t active_ = 0;  // tasks currently executing
   bool stopping_ = false;
   std::vector<std::thread> workers_;

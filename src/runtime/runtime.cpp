@@ -1,7 +1,5 @@
 #include "runtime/runtime.h"
 
-#include <cstdlib>
-#include <cstring>
 #include <mutex>
 
 #include "core/cost_model.h"
@@ -9,26 +7,13 @@
 #include "obs/metrics.h"
 #include "opt/plan_cache.h"
 #include "perf/thread_pool.h"
-#include "topo/topology.h"
 
 namespace scn {
-namespace {
-
-/// SCNET_PLACEMENT: any value but "0" (or unset) enables placement. Read
-/// once per Runtime at construction, like the other environment defaults.
-bool default_placement() {
-  const char* v = std::getenv("SCNET_PLACEMENT");
-  return v == nullptr || std::strcmp(v, "0") != 0;
-}
-
-}  // namespace
 
 struct Runtime::Impl {
   Options opts;
   PassLevel pass_level = PassLevel::kDefault;
   EngineBackend backend = EngineBackend::kAuto;
-  std::shared_ptr<const topo::HardwareTopology> topology;
-  bool placement = true;
   bool is_shared = false;
 
   // Owned slots are null for shared(); the raw pointers always point at
@@ -53,16 +38,6 @@ Runtime::Runtime(const Options& options) : impl_(std::make_unique<Impl>()) {
   impl_->opts = options;
   impl_->pass_level = options.pass_level.value_or(default_pass_level());
   impl_->backend = options.backend.value_or(default_backend());
-  // Non-owning handle onto the process-wide topology when the caller did
-  // not supply one (it is a leaked-lifetime static, so the no-op deleter
-  // is sound).
-  impl_->topology =
-      options.topology != nullptr
-          ? options.topology
-          : std::shared_ptr<const topo::HardwareTopology>(
-                &topo::HardwareTopology::shared(),
-                [](const topo::HardwareTopology*) {});
-  impl_->placement = options.placement.value_or(default_placement());
   // Registry first: the caches' constructors register their counters and
   // gauges into it (and Impl members destroy in reverse order, so the
   // registry outlives the caches that publish through it).
@@ -82,9 +57,6 @@ Runtime::Runtime(SharedTag) : impl_(std::make_unique<Impl>()) {
   impl_->is_shared = true;
   impl_->pass_level = default_pass_level();
   impl_->backend = default_backend();
-  impl_->topology = std::shared_ptr<const topo::HardwareTopology>(
-      &topo::HardwareTopology::shared(), [](const topo::HardwareTopology*) {});
-  impl_->placement = default_placement();
   impl_->registry = &obs::MetricsRegistry::shared();
   impl_->modules = &ModuleCache::shared();
   impl_->plans = &PlanCache::shared();
@@ -103,8 +75,7 @@ ThreadPool& Runtime::pool() {
     if (impl_->is_shared) {
       impl_->pool = &ThreadPool::shared();
     } else {
-      impl_->owned_pool = std::make_unique<ThreadPool>(impl_->opts.threads,
-                                                       impl_->topology.get());
+      impl_->owned_pool = std::make_unique<ThreadPool>(impl_->opts.threads);
       impl_->pool = impl_->owned_pool.get();
     }
   });
@@ -114,12 +85,6 @@ ThreadPool& Runtime::pool() {
 PassLevel Runtime::pass_level() const { return impl_->pass_level; }
 
 EngineBackend Runtime::backend() const { return impl_->backend; }
-
-const topo::HardwareTopology& Runtime::topology() const {
-  return *impl_->topology;
-}
-
-bool Runtime::placement_enabled() const { return impl_->placement; }
 
 CachedPlan Runtime::compiled(const Network& net, const PassOptions& opts) {
   return impl_->plans->compiled(net, impl_->pass_level, opts, impl_->backend);

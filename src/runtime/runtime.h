@@ -55,10 +55,6 @@ namespace obs {
 class MetricsRegistry;
 }  // namespace obs
 
-namespace topo {
-class HardwareTopology;
-}  // namespace topo
-
 class Runtime {
  public:
   /// Construction-time configuration. Every field has an "inherit the
@@ -81,16 +77,6 @@ class Runtime {
     /// engine/backend.h). nullopt => SCNET_BACKEND (else kAuto), read once
     /// at construction like the other environment defaults.
     std::optional<EngineBackend> backend;
-    /// Hardware topology this runtime's pool and threaded backend are laid
-    /// out on. nullptr => topo::HardwareTopology::shared() (one process-
-    /// wide detect(), SCNET_TOPOLOGY included). The shard manager passes
-    /// node_view slices here to keep a shard's private pool on its node.
-    std::shared_ptr<const topo::HardwareTopology> topology = nullptr;
-    /// Whether the threaded backend partitions lanes by PlacementPlan
-    /// (node-affine groups) instead of blind striping. nullopt =>
-    /// SCNET_PLACEMENT != "0" (default on), read once at construction.
-    /// Irrelevant on single-node topologies, where both paths coincide.
-    std::optional<bool> placement = std::nullopt;
   };
 
   /// A fully private runtime: fresh caches, a fresh metrics registry the
@@ -124,15 +110,6 @@ class Runtime {
   /// once at construction from Options::backend / SCNET_BACKEND). kAuto
   /// defers the concrete choice to the engine dispatcher per call.
   [[nodiscard]] EngineBackend backend() const;
-
-  /// The hardware topology this runtime is laid out on (resolved once at
-  /// construction; shared() and defaulted Options use the process-wide
-  /// topo::HardwareTopology::shared()).
-  [[nodiscard]] const topo::HardwareTopology& topology() const;
-
-  /// Whether the threaded backend uses PlacementPlan partitioning
-  /// (resolved once from Options::placement / SCNET_PLACEMENT).
-  [[nodiscard]] bool placement_enabled() const;
 
   /// Compiles (or fetches) the plan for `net` through THIS runtime's plan
   /// cache at pass_level(); the explicit-level overload bypasses the

@@ -30,7 +30,6 @@
 #include "engine/batch_engine.h"        // IWYU pragma: export
 #include "engine/execution_plan.h"      // IWYU pragma: export
 #include "engine/kernels.h"             // IWYU pragma: export
-#include "engine/simd_kernels.h"        // IWYU pragma: export
 #include "net/analyze.h"                // IWYU pragma: export
 #include "net/export.h"                 // IWYU pragma: export
 #include "net/linked_network.h"         // IWYU pragma: export

@@ -4,15 +4,12 @@
 #include <random>
 #include <stdexcept>
 #include <thread>
-#include <unordered_set>
 
 #include "core/k_network.h"
 #include "engine/backend.h"
 #include "obs/metrics.h"
 #include "opt/plan_cache.h"
 #include "perf/contention_model.h"
-#include "topo/placement.h"
-#include "topo/topology.h"
 #include "verify/checkers.h"
 
 namespace scn {
@@ -38,9 +35,8 @@ std::uint64_t ceil_share(std::uint64_t total, std::size_t index,
 }  // namespace
 
 struct ShardManager::Shard {
-  Shard(const std::vector<std::size_t>& factors,
-        const Runtime::Options& rt_options)
-      : runtime(rt_options),
+  explicit Shard(const std::vector<std::size_t>& factors)
+      : runtime(),
         network(make_k_network(factors, runtime)),
         cnet(network),
         local_tokens(&runtime.metrics().counter("service.shard.tokens")) {}
@@ -72,23 +68,9 @@ ShardManager::ShardManager(const Options& options, Runtime& rt)
   offset_ = options_.dispatch_offset.has_value()
                 ? *options_.dispatch_offset
                 : static_cast<std::uint64_t>(std::random_device{}());
-  // Shard -> node placement on the home runtime's topology; prefix-
-  // balanced so every active set spreads across nodes.
-  const topo::HardwareTopology& topology = rt.topology();
-  const bool affine = options_.node_affine && topology.node_count() > 1;
-  shard_nodes_ = affine
-                     ? topo::place_shards(options_.shards, topology)
-                     : std::vector<std::size_t>(options_.shards, 0);
   shards_.reserve(options_.shards);
   for (std::size_t j = 0; j < options_.shards; ++j) {
-    Runtime::Options shard_rt;
-    if (affine) {
-      // The shard's private pool spawns inside its node's slice, so its
-      // threaded traversals never cross the interconnect.
-      shard_rt.topology = std::make_shared<const topo::HardwareTopology>(
-          topology.node_view(shard_nodes_[j]));
-    }
-    auto shard = std::make_unique<Shard>(options_.factors, shard_rt);
+    auto shard = std::make_unique<Shard>(options_.factors);
     shard->home_tokens = &rt.metrics().counter(
         "service.shard" + std::to_string(j) + ".tokens");
     if (options_.visit_probe) shard->cnet.enable_visit_probe();
@@ -204,10 +186,6 @@ Runtime& ShardManager::shard_runtime(std::size_t shard) {
   return shards_.at(shard)->runtime;
 }
 
-std::size_t ShardManager::shard_node(std::size_t shard) const {
-  return shard_nodes_.at(shard);
-}
-
 std::vector<Count> ShardManager::shard_output_counts(
     std::size_t shard) const {
   return shards_.at(shard)->cnet.output_counts();
@@ -282,18 +260,9 @@ ShardManager::RebalanceDecision ShardManager::rebalance() {
                            " call(s) in flight");
   }
 #endif
-  const auto distinct_nodes = [this](std::size_t active) {
-    std::unordered_set<std::size_t> nodes(shard_nodes_.begin(),
-                                          shard_nodes_.begin() +
-                                              static_cast<std::ptrdiff_t>(
-                                                  active));
-    return nodes.size();
-  };
-
   RebalanceDecision decision;
   decision.active_before = active_shards();
   decision.epoch_tokens = dispatched();
-  decision.nodes_before = distinct_nodes(decision.active_before);
 
   // Score each active shard: (hottest-gate traffic fraction) x (tokens it
   // routed this epoch) estimates the serialized fetch-adds on its hottest
@@ -323,7 +292,6 @@ ShardManager::RebalanceDecision ShardManager::rebalance() {
     --next_active;
   }
   decision.active_after = next_active;
-  decision.nodes_after = distinct_nodes(next_active);
 
   // Close the epoch: everything dispatched so far is handed out, the next
   // epoch's values start past it, and the shards restart from zero so

@@ -29,11 +29,6 @@
 // out exactly {epoch_base .. epoch_base + D - 1}: global counter
 // linearity from shard-local step properties plus one fetch-add.
 //
-// Topology: with Options::node_affine (default), shard runtimes are placed
-// on the home runtime's HardwareTopology by topo::place_shards — prefix-
-// balanced across nodes, so whatever the active count, the live shards
-// spread over the machine and each shard's private pool stays inside its
-// node (node_view). rebalance() reports the node spread of its decisions.
 // The cost of composition is that one dispatch word (every token touches
 // it once); the payoff is depth(w) + 1 fetch-adds per token instead of
 // depth(N * w) — for 4 shards of K(2^4), 13 instead of 35.
@@ -96,11 +91,6 @@ class ShardManager final : public FetchIncCounter {
     /// onto shard 0. The offset shifts only the SHARD a ticket lands on —
     /// the value residue stays d % active, so linearity is untouched.
     std::optional<std::uint64_t> dispatch_offset = std::nullopt;
-    /// Place each shard's private Runtime on a topology node
-    /// (topo::place_shards over the home runtime's topology; the shard's
-    /// pool then spawns inside that node's node_view). Only meaningful on
-    /// multi-node topologies; single-node ones place everything on node 0.
-    bool node_affine = true;
   };
 
   /// `rt` is the service's home runtime: the `service.*` counters publish
@@ -147,9 +137,6 @@ class ShardManager final : public FetchIncCounter {
 
   /// Shard `shard`'s private runtime (metrics: `service.shard.tokens`).
   [[nodiscard]] Runtime& shard_runtime(std::size_t shard);
-  /// Topology node shard `shard`'s runtime was placed on (always 0 when
-  /// node_affine is off or the topology is single-node).
-  [[nodiscard]] std::size_t shard_node(std::size_t shard) const;
   /// The dispatch offset resolved at construction (Options::dispatch_offset
   /// or the per-manager random draw).
   [[nodiscard]] std::uint64_t dispatch_offset() const { return offset_; }
@@ -179,12 +166,6 @@ class ShardManager final : public FetchIncCounter {
     std::size_t active_after = 0;
     double max_score = 0.0;       ///< hottest-word estimate that decided
     std::uint64_t epoch_tokens = 0;
-    /// Distinct topology nodes hosting the active prefix before/after —
-    /// the locality ledger of the decision. place_shards() keeps every
-    /// prefix node-balanced, so growth spreads across nodes as early as
-    /// possible and shrinking retreats one shard without stranding a node.
-    std::size_t nodes_before = 1;
-    std::size_t nodes_after = 1;
   };
   /// Closes the epoch: scores each active shard's contention (probe-fed
   /// when enabled), grows/shrinks the active prefix per Options, re-bases
@@ -197,8 +178,7 @@ class ShardManager final : public FetchIncCounter {
 
   Options options_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::size_t> shard_nodes_;  // topo node per shard
-  std::uint64_t offset_ = 0;              // resolved dispatch offset
+  std::uint64_t offset_ = 0;  // resolved dispatch offset
   std::atomic<std::size_t> active_;
   std::atomic<std::uint64_t> dispatch_{0};  // epoch-local round-robin ticket
   std::atomic<std::uint64_t> base_{0};      // values handed out pre-epoch

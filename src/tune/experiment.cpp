@@ -139,7 +139,6 @@ CellResult ExperimentManager::run_cell(const ExperimentCell& cell) const {
     const CachedPlan cached = rt.compiled(
         net, cell.pass_level, PassOptions{.semantics = Semantics::kComparator});
     const ExecutionPlan& plan = *cached.plan;
-    result.width2_fraction = engine::plan_shape(plan).width2_fraction();
 
     std::mt19937_64 rng(cell_seed(config_.seed, result.width * 31 +
                                                     cell.lanes));

@@ -105,7 +105,6 @@ struct CellResult {
   std::size_t width = 0;
   std::size_t gates = 0;
   std::uint32_t depth = 0;
-  double width2_fraction = 0.0;
   std::size_t resolved_threads = 0;  ///< cell.threads with 0 resolved
   // Measurement.
   double seconds = 0.0;          ///< best rep wall time

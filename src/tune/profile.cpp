@@ -23,7 +23,7 @@ namespace {
 /// The raw value text of `"key": <value>` inside `object`, or nullopt.
 std::optional<std::string_view> raw_value(std::string_view object,
                                           std::string_view key) {
-  const std::string quoted = "\"" + std::string(key) + "\"";
+  const std::string quoted = std::string("\"").append(key).append("\"");
   const std::size_t at = object.find(quoted);
   if (at == std::string_view::npos) return std::nullopt;
   std::size_t pos = at + quoted.size();
@@ -139,8 +139,7 @@ bool ProfileCell::same_point(const ProfileCell& other) const {
 
 std::string MachineProfile::fingerprint_for(const MachineCaps& caps) {
   std::ostringstream os;
-  os << "scnet-profile-v1;simd=" << (caps.simd ? 1 : 0)
-     << ";threads=" << caps.threads;
+  os << "scnet-profile-v2;threads=" << caps.threads;
   return os.str();
 }
 

@@ -4,10 +4,9 @@
 // A profile is a flat store of (network shape x execution choice ->
 // measured vectors/sec) cells plus a *fingerprint* of the machine and
 // build that measured them. The fingerprint is derived from MachineCaps
-// (SIMD kernels compiled in, worker threads) and a format version; a
-// profile whose fingerprint does not match the current host is stale —
-// every consumer falls back to the static policy rather than trust
-// numbers measured on different hardware.
+// (worker threads) and a format version; a profile whose fingerprint does
+// not match the current host is stale — every consumer falls back to the
+// static policy rather than trust numbers measured on different hardware.
 //
 // Lifecycle (docs/tuning.md):
 //   * `scnet_cli tune` runs an experiment sweep and appends its cells
@@ -21,7 +20,8 @@
 // The JSON shape matches what bench::JsonReport writes elsewhere in the
 // repo: {"machine_profile": 1, "fingerprint": "...", "cells": [ {...} ]}.
 // Parsing is schema-specific and tolerant: unknown keys are ignored,
-// malformed cells are dropped, and a file that does not parse at all
+// malformed cells (including ones naming a backend this build does not
+// register) are dropped, and a file that does not parse at all
 // yields nullopt.
 #pragma once
 
@@ -61,7 +61,7 @@ struct ProfileCell {
 
 class MachineProfile {
  public:
-  /// The fingerprint `caps` produces: "scnet-profile-v1;simd=X;threads=N".
+  /// The fingerprint `caps` produces: "scnet-profile-v2;threads=N".
   /// Bump the version prefix when the cell schema changes incompatibly.
   [[nodiscard]] static std::string fingerprint_for(const MachineCaps& caps);
 

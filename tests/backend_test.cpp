@@ -15,7 +15,6 @@
 #include "core/k_network.h"
 #include "engine/backend.h"
 #include "engine/execution_plan.h"
-#include "engine/simd_kernels.h"
 #include "opt/plan_cache.h"
 #include "runtime/runtime.h"
 #include "seq/generators.h"
@@ -33,39 +32,31 @@ TEST(BackendNames, ToStringParseRoundTrip) {
   EXPECT_EQ(std::string(to_string(EngineBackend::kAuto)), "auto");
   EXPECT_FALSE(parse_backend("").has_value());
   EXPECT_FALSE(parse_backend("sse").has_value());
+  EXPECT_FALSE(parse_backend("simd").has_value());
   EXPECT_FALSE(parse_backend("Scalar").has_value());  // case-sensitive
 }
 
-TEST(BackendRegistry, FourConcreteBackendsWithDistinctNames) {
+TEST(BackendRegistry, ThreeConcreteBackendsWithDistinctNames) {
   const auto all = engine::registered_backends();
-  ASSERT_EQ(all.size(), 4u);
+  ASSERT_EQ(all.size(), 3u);
   EXPECT_EQ(all[0], EngineBackend::kScalar);
   EXPECT_EQ(all[1], EngineBackend::kBatch);
-  EXPECT_EQ(all[2], EngineBackend::kSimd);
-  EXPECT_EQ(all[3], EngineBackend::kThreaded);
+  EXPECT_EQ(all[2], EngineBackend::kThreaded);
   for (const EngineBackend b : all) {
     EXPECT_STREQ(engine::backend(b).name(), to_string(b));
   }
 }
 
 TEST(BackendRegistry, CapabilityDescriptors) {
-  EXPECT_FALSE(engine::backend(EngineBackend::kScalar).caps().lane_parallel);
-  EXPECT_TRUE(engine::backend(EngineBackend::kBatch).caps().lane_parallel);
-  EXPECT_TRUE(engine::backend(EngineBackend::kSimd).caps().lane_parallel);
-  const engine::BackendCaps threaded =
-      engine::backend(EngineBackend::kThreaded).caps();
-  EXPECT_TRUE(threaded.lane_parallel);
-  EXPECT_TRUE(threaded.uses_pool);
-  EXPECT_EQ(threaded.min_profitable_lanes, kThreadedMinLanes);
-  // explicit_simd reports the build truth, whatever it is on this host.
-  EXPECT_EQ(engine::backend(EngineBackend::kSimd).caps().explicit_simd,
-            engine::simd::compiled_in());
+  EXPECT_FALSE(engine::backend(EngineBackend::kScalar).caps().uses_pool);
+  EXPECT_FALSE(engine::backend(EngineBackend::kBatch).caps().uses_pool);
+  EXPECT_TRUE(engine::backend(EngineBackend::kThreaded).caps().uses_pool);
 }
 
 TEST(DispatchPolicy, SingleLaneIsAlwaysScalar) {
   const PlanShape pairs{.width = 16, .depth = 10, .pair_gates = 80,
                         .wide_gates = 0};
-  const MachineCaps everything{.simd = true, .threads = 8};
+  const MachineCaps everything{.threads = 8};
   EXPECT_EQ(select_backend(pairs, 1, everything), EngineBackend::kScalar);
   EXPECT_EQ(select_backend(pairs, 0, everything), EngineBackend::kScalar);
 }
@@ -73,8 +64,8 @@ TEST(DispatchPolicy, SingleLaneIsAlwaysScalar) {
 TEST(DispatchPolicy, ThreadedNeedsLanesWorkAndThreads) {
   const PlanShape pairs{.width = 16, .depth = 10, .pair_gates = 2048,
                         .wide_gates = 0};
-  const MachineCaps multi{.simd = false, .threads = 8};
-  const MachineCaps single{.simd = false, .threads = 1};
+  const MachineCaps multi{.threads = 8};
+  const MachineCaps single{.threads = 1};
   // 256 lanes x 2048 gates = 1 << 19 >= kThreadedMinWork.
   EXPECT_EQ(select_backend(pairs, kThreadedMinLanes, multi),
             EngineBackend::kThreaded);
@@ -91,23 +82,20 @@ TEST(DispatchPolicy, ThreadedNeedsLanesWorkAndThreads) {
             EngineBackend::kBatch);
 }
 
-TEST(DispatchPolicy, SimdWantsWidth2DominatedPlansAndTheKernels) {
-  const MachineCaps simd_host{.simd = true, .threads = 1};
-  const MachineCaps plain_host{.simd = false, .threads = 1};
-  const PlanShape pairs{.width = 16, .depth = 10, .pair_gates = 80,
-                        .wide_gates = 0};
-  EXPECT_EQ(select_backend(pairs, 64, simd_host), EngineBackend::kSimd);
-  EXPECT_EQ(select_backend(pairs, 64, plain_host), EngineBackend::kBatch);
-  // 50% width-2 is below kSimdMinWidth2Fraction: wide gates dominate the
-  // run time and they execute through the same code as the batch tier.
-  const PlanShape mixed{.width = 16, .depth = 10, .pair_gates = 40,
-                        .wide_gates = 40};
-  EXPECT_EQ(select_backend(mixed, 64, simd_host), EngineBackend::kBatch);
-  // A gate-free plan counts as width-2 dominated (fraction 1.0).
-  const PlanShape empty{.width = 4, .depth = 0, .pair_gates = 0,
-                        .wide_gates = 0};
-  EXPECT_EQ(select_backend(empty, 64, simd_host), EngineBackend::kSimd);
-  EXPECT_DOUBLE_EQ(empty.width2_fraction(), 1.0);
+TEST(DispatchPolicy, PairOnlyPlansTakeTheBatchTierBelowTheThreadedFloor) {
+  // Width-2-only plans get no tier of their own: below the threaded work
+  // floor they run on batch, whose width-2 rows the compiler vectorizes.
+  const PlanShape pairs_only{.width = 32, .depth = 15, .pair_gates = 240,
+                             .wide_gates = 0};
+  const MachineCaps multi{.threads = 8};
+  for (const std::size_t lanes : {2u, 64u, 255u}) {
+    EXPECT_EQ(select_backend(pairs_only, lanes, multi), EngineBackend::kBatch)
+        << lanes << " lanes";
+  }
+  const ExecutionPlan bitonic = compile_plan(make_bitonic_network(5));
+  ASSERT_EQ(engine::plan_shape(bitonic).wide_gates, 0u);
+  EXPECT_EQ(select_backend(engine::plan_shape(bitonic), 64, multi),
+            EngineBackend::kBatch);
 }
 
 TEST(DispatchPolicy, PlanShapeExtraction) {
@@ -118,13 +106,11 @@ TEST(DispatchPolicy, PlanShapeExtraction) {
   EXPECT_EQ(bs.depth, b.depth());
   EXPECT_EQ(bs.pair_gates + bs.wide_gates, b.gate_count());
   EXPECT_EQ(bs.wide_gates, 0u);
-  EXPECT_DOUBLE_EQ(bs.width2_fraction(), 1.0);
 
   // K(2,2): the base balancers are 4-wide, so wide gates exist.
   const ExecutionPlan k = compile_plan(make_k_network({2, 2}));
   const PlanShape ks = engine::plan_shape(k);
   EXPECT_GT(ks.wide_gates, 0u);
-  EXPECT_LT(ks.width2_fraction(), 1.0);
 }
 
 TEST(DispatchPolicy, ResolvePassesConcreteRequestsThrough) {
@@ -188,6 +174,16 @@ TEST(BackendPlumbing, EnvironmentVariableSetsTheDefault) {
   EXPECT_EQ(rt.backend(), EngineBackend::kThreaded);
 }
 
+TEST(BackendPlumbing, RemovedSimdNameInEnvironmentFallsBackToAuto) {
+  // "simd" is no longer a backend; an environment still naming it gets the
+  // automatic policy, like any other unknown value.
+  ASSERT_EQ(setenv("SCNET_BACKEND", "simd", 1), 0);
+  EXPECT_EQ(default_backend(), EngineBackend::kAuto);
+  Runtime rt;
+  EXPECT_EQ(rt.backend(), EngineBackend::kAuto);
+  ASSERT_EQ(unsetenv("SCNET_BACKEND"), 0);
+}
+
 TEST(BackendDispatch, SingleVectorEntryPointsMatchScalarReference) {
   std::mt19937_64 rng(7);
   const Network net = make_k_network({2, 3});
@@ -207,36 +203,6 @@ TEST(BackendDispatch, SingleVectorEntryPointsMatchScalarReference) {
             ref_sorted);
   EXPECT_EQ(engine::counts_output(plan, in, EngineBackend::kAuto),
             ref_counts);
-}
-
-TEST(SimdKernels, PairRowsMatchScalarKernels) {
-  // The raw row kernels against the scalar pair kernels, across sizes that
-  // cover the unrolled main loop, the single-vector loop, and the tail.
-  std::mt19937_64 rng(11);
-  const auto random_rows = [&rng](std::size_t n) {
-    std::vector<Count> rows(n);
-    for (Count& v : rows) v = static_cast<Count>(rng() % 80);
-    return rows;
-  };
-  for (const std::size_t n : {0u, 1u, 3u, 4u, 7u, 8u, 9u, 64u, 257u}) {
-    const auto a = random_rows(n);
-    const auto b = random_rows(n);
-    std::vector<Count> hi = a, lo = b, hi_ref = a, lo_ref = b;
-    engine::simd::pair_sort_rows(hi.data(), lo.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      engine::pair_sort_kernel(hi_ref[i], lo_ref[i]);
-    }
-    EXPECT_EQ(hi, hi_ref) << "sort n=" << n;
-    EXPECT_EQ(lo, lo_ref) << "sort n=" << n;
-
-    std::vector<Count> chi = a, clo = b, chi_ref = a, clo_ref = b;
-    engine::simd::pair_count_rows(chi.data(), clo.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      engine::pair_count_kernel(chi_ref[i], clo_ref[i]);
-    }
-    EXPECT_EQ(chi, chi_ref) << "count n=" << n;
-    EXPECT_EQ(clo, clo_ref) << "count n=" << n;
-  }
 }
 
 }  // namespace

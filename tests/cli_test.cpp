@@ -99,7 +99,16 @@ TEST(Cli, SortRejectsUnknownEngineListingValidNames) {
                              " sort --engine=warp 3,1,4,1");
   EXPECT_EQ(r.exit_code, 2);
   EXPECT_NE(r.output.find("unknown engine 'warp'"), std::string::npos);
-  EXPECT_NE(r.output.find("interp|plan|auto|scalar|batch|simd|threaded"),
+  EXPECT_NE(r.output.find("interp|plan|auto|scalar|batch|threaded"),
+            std::string::npos);
+}
+
+TEST(Cli, SortRejectsRemovedSimdEngine) {
+  const auto r = run_command(kCli + " build K 2x2 | " + kCli +
+                             " sort --engine=simd 3,1,4,1");
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.output.find("unknown engine 'simd'"), std::string::npos);
+  EXPECT_NE(r.output.find("interp|plan|auto|scalar|batch|threaded"),
             std::string::npos);
 }
 
@@ -108,7 +117,7 @@ TEST(Cli, SortForcedBackendsMatchInterpreter) {
   const auto interp = run_command(build + " | " + kCli + " sort 3,1,4,1");
   ASSERT_EQ(interp.exit_code, 0);
   for (const std::string engine :
-       {"auto", "scalar", "batch", "simd", "threaded"}) {
+       {"auto", "scalar", "batch", "threaded"}) {
     const auto r = run_command(build + " | " + kCli + " sort --engine=" +
                                engine + " 3,1,4,1");
     EXPECT_EQ(r.exit_code, 0) << engine;
@@ -133,11 +142,10 @@ TEST(Cli, ExportDotEmitsClusteredGraph) {
   EXPECT_NE(r.output.find("->"), std::string::npos);
 }
 
-TEST(Cli, ExportContentionOverlayUnderSyntheticTopology) {
+TEST(Cli, ExportContentionOverlayHeatColorsGates) {
   // The acceptance pipeline: build an L network, trace it, render the heat
-  // overlay — one command, synthetic multi-node machine.
-  const auto r = run_command("SCNET_TOPOLOGY=2x4 " + kCli +
-                             " build L 2x3x2 | SCNET_TOPOLOGY=2x4 " + kCli +
+  // overlay — one command.
+  const auto r = run_command(kCli + " build L 2x3x2 | " + kCli +
                              " export --dot --overlay=contention "
                              "--tokens 500 --title heatmap");
   EXPECT_EQ(r.exit_code, 0) << r.output;
@@ -147,22 +155,14 @@ TEST(Cli, ExportContentionOverlayUnderSyntheticTopology) {
   EXPECT_NE(r.output.find("overlay: 500 tokens traced"), std::string::npos);
 }
 
-TEST(Cli, ExportPlacementOverlayColorsLayers) {
-  const auto r = run_command(kCli + " build K 2x3x2 | SCNET_TOPOLOGY=2x4 " +
-                             kCli + " export --dot --overlay=placement");
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("@node0"), std::string::npos);
-  EXPECT_NE(r.output.find("@node1"), std::string::npos);
-  EXPECT_NE(r.output.find("overlay: placement on 2 nodes"),
-            std::string::npos);
-}
-
 TEST(Cli, ExportRejectsUnknownOverlayAndMissingFormat) {
   const auto bad = run_command(kCli + " build K 2x2 | " + kCli +
                                " export --dot --overlay=wat");
   EXPECT_EQ(bad.exit_code, 2);
-  EXPECT_NE(bad.output.find("valid: none|contention|placement"),
-            std::string::npos);
+  EXPECT_NE(bad.output.find("valid: none|contention)"), std::string::npos);
+  const auto placement = run_command(kCli + " build K 2x2 | " + kCli +
+                                     " export --dot --overlay=placement");
+  EXPECT_EQ(placement.exit_code, 2);
   const auto none = run_command(kCli + " build K 2x2 | " + kCli + " export");
   EXPECT_EQ(none.exit_code, 2);
 }

@@ -41,8 +41,10 @@ INSTANTIATE_TEST_SUITE_P(Shapes, ColumnsortExhaustive,
                                            Shape{6, 2}, Shape{8, 2},
                                            Shape{8, 3}),
                          [](const auto& param_info) {
-                           return "r" + std::to_string(param_info.param.r) +
-                                  "c" + std::to_string(param_info.param.c);
+                           return std::string("r")
+                               .append(std::to_string(param_info.param.r))
+                               .append("c")
+                               .append(std::to_string(param_info.param.c));
                          });
 
 TEST(Columnsort, DepthIsFourPlusShift) {

@@ -203,9 +203,9 @@ INSTANTIATE_TEST_SUITE_P(
                                          ScheduleKind::kAdversarial),
                        ::testing::Values(std::size_t{2}, std::size_t{4},
                                          std::size_t{8})),
-    [](const auto& info) {
-      return std::string(to_string(std::get<0>(info.param))) + "_x" +
-             std::to_string(std::get<1>(info.param));
+    [](const auto& param_info) {
+      return std::string(to_string(std::get<0>(param_info.param))) + "_x" +
+             std::to_string(std::get<1>(param_info.param));
     });
 
 }  // namespace

@@ -4,10 +4,14 @@
 //   == token sim (all policies) == manual router == concurrent threads
 //   == event sim.
 // This is the strongest single guard against a divergence bug in any one
-// engine's balancer semantics.
+// engine's balancer semantics. The threaded tier's lane striping is swept
+// separately over pool sizes, lane counts and stripe grains.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
 #include <random>
+#include <vector>
 
 #include "baseline/bitonic.h"
 #include "baseline/periodic.h"
@@ -26,7 +30,6 @@
 #include "sim/event_sim.h"
 #include "sim/manual_router.h"
 #include "sim/token_sim.h"
-#include "topo/topology.h"
 
 namespace scn {
 namespace {
@@ -195,52 +198,6 @@ TEST(EngineCrossCheck, AllBackendsBitIdenticalToScalar) {
   }
 }
 
-TEST(EngineCrossCheck, PlacementOnOffBitIdenticalAcrossBackends) {
-  // Acceptance gate for the placement layer: every backend must produce
-  // bit-identical outputs whether the threaded tier partitions lanes by
-  // PlacementPlan (multi-node runtime, placement on) or blind-stripes
-  // them (placement off). Synthetic 2x2 topology so this holds on any
-  // host, including single-core CI runners.
-  std::mt19937_64 rng(1234);
-  const auto topology = std::make_shared<const topo::HardwareTopology>(
-      topo::HardwareTopology::synthetic(2, 2));
-  Runtime::Options on_opts;
-  on_opts.threads = 4;
-  on_opts.topology = topology;
-  on_opts.placement = true;
-  Runtime rt_on(on_opts);
-  Runtime::Options off_opts = on_opts;
-  off_opts.placement = false;
-  Runtime rt_off(off_opts);
-  for (const Network& net : grid()) {
-    const ExecutionPlan plan = compile_plan(net);
-    for (const std::size_t lanes : {1u, 7u, 33u, 257u}) {
-      std::vector<std::vector<Count>> inputs;
-      inputs.reserve(lanes);
-      for (std::size_t j = 0; j < lanes; ++j) {
-        inputs.push_back(random_count_vector(
-            rng, net.width(), 1 + static_cast<Count>(rng() % 200)));
-      }
-      for (const EngineBackend b : engine::registered_backends()) {
-        ASSERT_EQ(engine::sort_batch(plan, inputs, rt_on, b),
-                  engine::sort_batch(plan, inputs, rt_off, b))
-            << to_string(b) << " sort, " << lanes << " lanes, width "
-            << net.width();
-        ASSERT_EQ(engine::count_batch(plan, inputs, rt_on, b),
-                  engine::count_batch(plan, inputs, rt_off, b))
-            << to_string(b) << " counts, " << lanes << " lanes, width "
-            << net.width();
-      }
-      // And both agree with the scalar reference on a private runtime.
-      Runtime rt_ref;
-      ASSERT_EQ(
-          engine::sort_batch(plan, inputs, rt_on, EngineBackend::kThreaded),
-          engine::sort_batch(plan, inputs, rt_ref, EngineBackend::kScalar))
-          << "placed threaded vs scalar, " << lanes << " lanes";
-    }
-  }
-}
-
 TEST(EngineCrossCheck, HopAccountingConsistency) {
   // Token-sim hop totals equal the analytic expectation on uniform loads
   // for networks with full layers.
@@ -251,6 +208,86 @@ TEST(EngineCrossCheck, HopAccountingConsistency) {
   EXPECT_EQ(sim.hops,
             static_cast<std::uint64_t>(8 * net.width()) * net.depth());
 }
+
+// The threaded tier stripes a batch's lanes into contiguous ranges, one per
+// pool task, and runs the whole plan on each stripe. Lane results must not
+// depend on where the stripes fall: sweep pool sizes against lane counts
+// that give fewer lanes than workers, ragged last stripes, and stripes that
+// end inside an execution block, at stripe grains from one lane up.
+struct StripeCase {
+  std::size_t threads;
+  std::size_t lanes;
+};
+
+void PrintTo(const StripeCase& c, std::ostream* os) {
+  *os << c.threads << "t_" << c.lanes << "l";
+}
+
+class ThreadedStriping : public ::testing::TestWithParam<StripeCase> {};
+
+TEST_P(ThreadedStriping, BitIdenticalToSerialBatchAndInterpreters) {
+  const auto [threads, lanes] = GetParam();
+  ThreadPool pool(threads);
+  std::mt19937_64 rng(1000 * threads + lanes);
+  for (const Network& net : {make_k_network({2, 3, 2}),
+                             make_l_network({3, 2, 2}),
+                             make_bitonic_network(3)}) {
+    const ExecutionPlan plan = compile_plan(net);
+    std::vector<std::vector<Count>> inputs;
+    inputs.reserve(lanes);
+    for (std::size_t j = 0; j < lanes; ++j) {
+      inputs.push_back(random_count_vector(
+          rng, net.width(), 1 + static_cast<Count>(rng() % 100)));
+    }
+
+    const auto sorted = plan_sort_batch(plan, inputs, &pool);
+    const auto counted = plan_count_batch(plan, inputs, &pool);
+    ASSERT_EQ(sorted, plan_sort_batch(plan, inputs));
+    ASSERT_EQ(counted, plan_count_batch(plan, inputs));
+    for (std::size_t j = 0; j < lanes; ++j) {
+      ASSERT_EQ(sorted[j], comparator_output_counts(net, inputs[j]))
+          << "sort, lane " << j << ", width " << net.width();
+      ASSERT_EQ(counted[j], output_counts(net, inputs[j]))
+          << "count, lane " << j << ", width " << net.width();
+    }
+
+    // The in-place tier at explicit grains: grain 1 hands every worker a
+    // stripe whenever lanes >= threads.
+    const engine::Batch<Count> packed =
+        engine::pack_batch<Count>(inputs, net.width());
+    engine::Batch<Count> serial_sort = packed;
+    engine::Batch<Count> serial_count = packed;
+    run_plan_batch(plan, serial_sort);
+    run_plan_counts_batch(plan, serial_count);
+    for (const std::size_t grain : {1u, 3u, 64u}) {
+      engine::Batch<Count> striped_sort = packed;
+      engine::Batch<Count> striped_count = packed;
+      run_plan_batch(plan, striped_sort, pool, grain);
+      run_plan_counts_batch(plan, striped_count, pool, grain);
+      const std::size_t cells = net.width() * lanes;
+      ASSERT_TRUE(std::equal(striped_sort.data(),
+                             striped_sort.data() + cells, serial_sort.data()))
+          << "sort, grain " << grain << ", width " << net.width();
+      ASSERT_TRUE(std::equal(striped_count.data(),
+                             striped_count.data() + cells,
+                             serial_count.data()))
+          << "count, grain " << grain << ", width " << net.width();
+    }
+  }
+}
+
+std::vector<StripeCase> stripe_cases() {
+  std::vector<StripeCase> out;
+  for (const std::size_t threads : {1u, 2u, 3u, 5u}) {
+    for (const std::size_t lanes : {1u, 7u, 130u, 600u}) {
+      out.push_back({threads, lanes});
+    }
+  }
+  return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(PoolSizesTimesLanes, ThreadedStriping,
+                         ::testing::ValuesIn(stripe_cases()));
 
 }  // namespace
 }  // namespace scn

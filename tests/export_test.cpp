@@ -15,7 +15,8 @@ TEST(Dot, ContainsAllGatesAndTerminals) {
   const std::string dot = to_dot(net, "k23");
   EXPECT_NE(dot.find("digraph \"k23\""), std::string::npos);
   for (std::size_t g = 0; g < net.gate_count(); ++g) {
-    EXPECT_NE(dot.find("g" + std::to_string(g) + " ["), std::string::npos);
+    EXPECT_NE(dot.find(std::string("g").append(std::to_string(g)).append(" [")),
+              std::string::npos);
   }
   for (std::size_t w = 0; w < net.width(); ++w) {
     EXPECT_NE(dot.find("in" + std::to_string(w) + " ["), std::string::npos);
@@ -111,22 +112,6 @@ TEST(Dot, ContentionOverlayColorsGates) {
     ++arrows;
   }
   EXPECT_EQ(arrows, net.wire_endpoint_count() + net.width());
-}
-
-TEST(Dot, PlacementOverlayColorsClusters) {
-  const Network net = make_k_network({2, 2, 2});  // multi-layer on purpose
-  std::vector<std::uint32_t> nodes(net.depth());
-  for (std::size_t l = 0; l < nodes.size(); ++l) {
-    nodes[l] = l < nodes.size() / 2 ? 0u : 1u;
-  }
-  DotOptions opts;
-  opts.title = "placed";
-  opts.overlay = DotOverlay::kPlacement;
-  opts.layer_nodes = nodes;
-  const std::string dot = to_dot(net, opts);
-  EXPECT_NE(dot.find("@node0"), std::string::npos);
-  EXPECT_NE(dot.find("@node1"), std::string::npos);
-  EXPECT_NE(dot.find("style=filled"), std::string::npos);
 }
 
 TEST(Dot, WrongLengthOverlayDataDegradesToStructural) {

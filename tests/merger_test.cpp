@@ -19,6 +19,19 @@ struct MParam {
   StaircaseVariant variant;
 };
 
+// Names the instantiation in test IDs; gtest's fallback byte dump would
+// print the vector's heap pointers.
+void PrintTo(const MParam& m, std::ostream* os) {
+  *os << "M(" << format_factors(m.factors) << "," << to_string(m.variant)
+      << ")";
+}
+
+TEST(MergerParams, PrintedNamesAreReadable) {
+  EXPECT_EQ(::testing::PrintToString(
+                MParam{Factors{3, 2, 3}, StaircaseVariant::kRebalanceCount}),
+            "M(3x2x3,rebalance-count)");
+}
+
 std::vector<MParam> shapes() {
   std::vector<MParam> out;
   for (const Factors& f :

@@ -114,6 +114,9 @@ struct Golden {
   std::uint64_t hash;
 };
 
+// Test IDs print GetParam(); without this gtest dumps the spec pointer.
+void PrintTo(const Golden& g, std::ostream* os) { *os << g.spec; }
+
 // Captured from the pre-refactor build (commit 17ec6b7 tree + planner PR).
 constexpr Golden kGoldens[] = {
     {"K 2x2", 0x09b6f9528cd4ecc5ull},

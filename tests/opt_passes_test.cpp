@@ -233,7 +233,7 @@ TEST(Pipeline, LevelParsingRoundTrips) {
 }
 
 class CrossEngineAgreement
-    : public ::testing::TestWithParam<std::tuple<const char*, PassLevel>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, PassLevel>> {};
 
 TEST_P(CrossEngineAgreement, InterpreterOnOriginalEqualsPlanOnOptimized) {
   const auto [kind, level] = GetParam();
@@ -262,7 +262,7 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(PassLevel::kNone, PassLevel::kDefault,
                                          PassLevel::kAggressive)),
     [](const auto& param_info) {
-      return std::string(std::get<0>(param_info.param)) + "_" +
+      return std::get<0>(param_info.param) + "_" +
              to_string(std::get<1>(param_info.param));
     });
 

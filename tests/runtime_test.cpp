@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <random>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -135,6 +136,23 @@ TEST(Runtime, ScnetThreadsEnvSizesDefaultPools) {
   EXPECT_EQ(default_thread_count(),
             std::max<std::size_t>(1, std::thread::hardware_concurrency()));
   ASSERT_EQ(unsetenv("SCNET_THREADS"), 0);
+}
+
+TEST(ThreadPoolDefaults, AbsurdThreadCountsAreClamped) {
+  // SCNET_THREADS beyond the ceiling clamps (with a warning) instead of
+  // trying to spawn thousands of workers.
+  const char* saved = std::getenv("SCNET_THREADS");
+  const std::string saved_value = saved ? saved : "";
+  ::setenv("SCNET_THREADS", "80000", 1);
+  EXPECT_EQ(default_thread_count(), kMaxThreadCount);
+  ::setenv("SCNET_THREADS", "3", 1);
+  EXPECT_EQ(default_thread_count(), 3u);
+  if (saved) {
+    ::setenv("SCNET_THREADS", saved_value.c_str(), 1);
+  } else {
+    ::unsetenv("SCNET_THREADS");
+  }
+  EXPECT_GE(default_thread_count(), 1u);
 }
 
 TEST(Runtime, ClearCachesResetsRegistryCountersWithThePurge) {

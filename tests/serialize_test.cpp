@@ -71,6 +71,9 @@ struct BadCase {
   const char* text;
 };
 
+// Test IDs print GetParam(); without this gtest dumps the two pointers.
+void PrintTo(const BadCase& c, std::ostream* os) { *os << c.name; }
+
 class SerializeErrors : public ::testing::TestWithParam<BadCase> {};
 
 TEST_P(SerializeErrors, Rejected) {

@@ -18,7 +18,6 @@
 #include "service/front_end.h"
 #include "service/saturate.h"
 #include "service/shard_manager.h"
-#include "topo/topology.h"
 #include "verify/checkers.h"
 
 namespace scn {
@@ -153,43 +152,6 @@ TEST(ShardManagerTest, PerShardOutputsKeepStepProperty) {
   for (std::size_t j = 0; j < service.shard_count(); ++j) {
     EXPECT_TRUE(is_exact_step_output(service.shard_output_counts(j)))
         << "shard " << j;
-  }
-}
-
-TEST(ShardManagerTest, NodeAffinePlacementSpreadsShardsAcrossNodes) {
-  // On a synthetic 2x4 machine, 4 shards must land 2 per node with every
-  // prefix balanced (the elastic active set is always a prefix), and the
-  // composition must stay linear with node-affine shard runtimes.
-  Runtime::Options rt_opts;
-  rt_opts.topology = std::make_shared<const topo::HardwareTopology>(
-      topo::HardwareTopology::synthetic(2, 4));
-  Runtime rt(rt_opts);
-  ShardManager service(
-      ShardManager::Options{.shards = 4, .dispatch_offset = 0}, rt);
-  std::size_t per_node[2] = {0, 0};
-  for (std::size_t j = 0; j < service.shard_count(); ++j) {
-    ASSERT_LT(service.shard_node(j), 2u);
-    ++per_node[service.shard_node(j)];
-  }
-  EXPECT_EQ(per_node[0], 2u);
-  EXPECT_EQ(per_node[1], 2u);
-  // Prefix balance: the first two shards are on different nodes.
-  EXPECT_NE(service.shard_node(0), service.shard_node(1));
-  for (int i = 0; i < 100; ++i) (void)service.next();
-  service.quiesce();
-  const auto report = service.verify_linearity();
-  EXPECT_TRUE(report.ok) << report.detail;
-}
-
-TEST(ShardManagerTest, NodeAffineOffKeepsEveryShardOnNodeZero) {
-  Runtime::Options rt_opts;
-  rt_opts.topology = std::make_shared<const topo::HardwareTopology>(
-      topo::HardwareTopology::synthetic(2, 4));
-  Runtime rt(rt_opts);
-  ShardManager service(
-      ShardManager::Options{.shards = 4, .node_affine = false}, rt);
-  for (std::size_t j = 0; j < service.shard_count(); ++j) {
-    EXPECT_EQ(service.shard_node(j), 0u);
   }
 }
 
@@ -380,8 +342,8 @@ INSTANTIATE_TEST_SUITE_P(AllSchedules, SaturationScheduleTest,
                                            ScheduleKind::kBursty,
                                            ScheduleKind::kSkewed,
                                            ScheduleKind::kAdversarial),
-                         [](const auto& info) {
-                           return std::string(to_string(info.param));
+                         [](const auto& param_info) {
+                           return std::string(to_string(param_info.param));
                          });
 
 TEST(SaturationTest, AsyncDrainsToQuiescence) {

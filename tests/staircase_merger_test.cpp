@@ -20,6 +20,19 @@ struct SParam {
   StaircaseVariant variant;
 };
 
+// Names the instantiation in test IDs; gtest's fallback byte dump would
+// include the struct's uninitialized padding.
+void PrintTo(const SParam& s, std::ostream* os) {
+  *os << "S(" << s.r << "," << s.p << "," << s.q << ","
+      << to_string(s.variant) << ")";
+}
+
+TEST(StaircaseParams, PrintedNamesAreReadable) {
+  EXPECT_EQ(::testing::PrintToString(
+                SParam{3, 3, 2, StaircaseVariant::kTwoMergerCapped}),
+            "S(3,3,2,two-merger-capped)");
+}
+
 std::vector<SParam> all_shapes() {
   std::vector<SParam> out;
   for (const auto& [r, p, q] :

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -46,7 +47,7 @@ TEST(MachineProfile, RoundTripsThroughJson) {
   profile.append(make_cell(NetworkKind::kK, {2, 2, 2},
                            EngineBackend::kBatch, 256, 1.5e6));
   profile.append(make_cell(NetworkKind::kL, {4, 4},
-                           EngineBackend::kSimd, 64, 2.5e6));
+                           EngineBackend::kBatch, 64, 2.5e6));
 
   const auto parsed = MachineProfile::from_json(profile.to_json());
   ASSERT_TRUE(parsed.has_value());
@@ -62,7 +63,7 @@ TEST(MachineProfile, RoundTripsThroughJson) {
   EXPECT_NEAR(a.vectors_per_sec, 1.5e6, 1.0);
   const ProfileCell& b = parsed->cells()[1];
   EXPECT_EQ(b.kind, NetworkKind::kL);
-  EXPECT_EQ(b.backend, EngineBackend::kSimd);
+  EXPECT_EQ(b.backend, EngineBackend::kBatch);
 }
 
 TEST(MachineProfile, SaveAndLoadRoundTrip) {
@@ -111,6 +112,50 @@ TEST(MachineProfile, MalformedCellsAreDroppedNotFatal) {
   // a concrete measurement) are dropped; row 1 survives.
   ASSERT_EQ(loaded->cells().size(), 1u);
   EXPECT_EQ(loaded->cells()[0].width, 4u);
+}
+
+TEST(MachineProfile, FingerprintIsV2AndKeyedOnThreadsOnly) {
+  EXPECT_EQ(MachineProfile::fingerprint_for(MachineCaps{.threads = 6}),
+            "scnet-profile-v2;threads=6");
+  EXPECT_NE(MachineProfile::fingerprint_for(MachineCaps{.threads = 6}),
+            MachineProfile::fingerprint_for(MachineCaps{.threads = 7}));
+  const MachineProfile host;
+  EXPECT_EQ(host.fingerprint(),
+            MachineProfile::fingerprint_for(machine_caps()));
+  EXPECT_TRUE(host.matches_host());
+}
+
+TEST(MachineProfile, V1ProfileWithSimdCellLoadsStale) {
+  // Profiles written before the simd backend was removed carry a v1
+  // fingerprint and may hold "simd" cells. They must still load: the simd
+  // cell is dropped like any unknown backend, and the v1 fingerprint never
+  // matches this build, so dispatch keeps the static policy.
+  const std::string fingerprint =
+      std::string("scnet-profile-v1;simd=1;threads=")
+          .append(std::to_string(machine_caps().threads));
+  const std::string json =
+      "{\n  \"machine_profile\": 1,\n  \"fingerprint\": \"" + fingerprint +
+      "\",\n  \"cells\": [\n"
+      "    {\"kind\": \"K\", \"factors\": \"2x2x2\", \"width\": 8, "
+      "\"passes\": \"default\", \"backend\": \"simd\", \"threads\": 1, "
+      "\"lanes\": 1, \"vectors_per_sec\": 9.0e6, \"seconds\": 1.0},\n"
+      "    {\"kind\": \"K\", \"factors\": \"2x2x2\", \"width\": 8, "
+      "\"passes\": \"default\", \"backend\": \"batch\", \"threads\": 1, "
+      "\"lanes\": 1, \"vectors_per_sec\": 5.0e5, \"seconds\": 1.0}\n"
+      "  ]\n}\n";
+  std::optional<MachineProfile> loaded;
+  ASSERT_NO_THROW(loaded = MachineProfile::from_json(json));
+  ASSERT_TRUE(loaded.has_value());
+  ASSERT_EQ(loaded->cells().size(), 1u);
+  EXPECT_EQ(loaded->cells()[0].backend, EngineBackend::kBatch);
+  EXPECT_FALSE(loaded->matches_host());
+
+  PlanShape shape;
+  shape.width = 8;
+  shape.depth = 3;
+  shape.pair_gates = 12;
+  EXPECT_EQ(select_backend(shape, 1, machine_caps(), &*loaded),
+            select_backend(shape, 1, machine_caps()));
 }
 
 TEST(MachineProfile, AppendKeepsTheFasterMeasurement) {
@@ -196,7 +241,7 @@ TEST(SelectBackend, UnmeasuredWidthFallsBackToStatic) {
 TEST(Planner, ProfileCellsRankFirstAndRecordProvenance) {
   MachineProfile profile;
   profile.append(make_cell(NetworkKind::kL, {2, 2, 2},
-                           EngineBackend::kSimd, 256, 7.7e6));
+                           EngineBackend::kBatch, 256, 7.7e6));
 
   PlanRequirements req;
   req.width = 8;
@@ -210,7 +255,7 @@ TEST(Planner, ProfileCellsRankFirstAndRecordProvenance) {
   EXPECT_TRUE(top.from_profile);
   EXPECT_EQ(top.kind, NetworkKind::kL);
   EXPECT_EQ(top.factors, (std::vector<std::size_t>{2, 2, 2}));
-  EXPECT_EQ(top.recommended_backend, EngineBackend::kSimd);
+  EXPECT_EQ(top.recommended_backend, EngineBackend::kBatch);
   EXPECT_NEAR(top.measured_vps, 7.7e6, 1.0);
   EXPECT_NE(top.rationale.find("[profile:"), std::string::npos);
   // Unmeasured candidates keep the static scoring and provenance.
@@ -227,7 +272,7 @@ TEST(Planner, ProfileCellsRankFirstAndRecordProvenance) {
 TEST(Planner, ForeignProfileIsIgnoredEntirely) {
   MachineProfile foreign("not-this-machine");
   foreign.append(make_cell(NetworkKind::kL, {2, 2, 2},
-                           EngineBackend::kSimd, 256, 7.7e6));
+                           EngineBackend::kBatch, 256, 7.7e6));
   PlanRequirements req;
   req.width = 8;
   req.batch_lanes = 256;

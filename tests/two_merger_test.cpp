@@ -28,7 +28,20 @@ struct TParam {
   bool capped;
 };
 
+// Names the instantiation in test IDs; gtest's fallback byte dump would
+// include the struct's uninitialized padding.
+void PrintTo(const TParam& t, std::ostream* os) {
+  *os << "T(" << t.p << "," << t.q0 << "," << t.q1
+      << (t.capped ? ",capped)" : ")");
+}
+
 class TwoMergerSuite : public ::testing::TestWithParam<TParam> {};
+
+TEST(TwoMergerParams, PrintedNamesAreReadable) {
+  EXPECT_EQ(::testing::PrintToString(TParam{3, 2, 1, false}), "T(3,2,1)");
+  EXPECT_EQ(::testing::PrintToString(TParam{2, 2, 2, true}),
+            "T(2,2,2,capped)");
+}
 
 TEST_P(TwoMergerSuite, Validates) {
   const auto [p, q0, q1, capped] = GetParam();
