@@ -24,7 +24,8 @@ std::uint64_t NetworkCounter::next() {
     tls_cursor.value = thread_seq_.fetch_add(1, std::memory_order_relaxed);
     tls_cursor.initialized = true;
   }
-  const std::uint32_t wire = tls_cursor.value++ % width_;
+  const auto wire =
+      static_cast<std::uint32_t>(reduce_mod(tls_cursor.value++, width_));
   const ConcurrentNetwork::ExitEvent exit = net_.traverse(
       static_cast<Wire>(wire));
   return static_cast<std::uint64_t>(exit.position) +

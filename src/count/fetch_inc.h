@@ -10,9 +10,11 @@
 //                   that after any quiescent prefix of N increments the
 //                   handed-out values are exactly {0..N-1}.
 //
-// All implementations are linearizable-per-value-uniqueness but, as the
-// paper notes (§6), counting networks are not linearizable in general; they
-// guarantee a *quiescently consistent* counter.
+// Every implementation hands out each value exactly once. AtomicCounter and
+// MutexCounter are linearizable; NetworkCounter is quiescently consistent:
+// as the paper notes (§6), counting networks are not linearizable in
+// general, but at every quiescent point the values handed out so far are
+// exactly {0..N-1}.
 #pragma once
 
 #include <atomic>

@@ -99,9 +99,9 @@ void TokenFrontEnd::drain_task() {
       batch = pop_batch_locked(lk);
       if (batch == 0) {
         --active_drainers_;
-        lk.unlock();
         // Wake drain() waiters: with this task gone the queue may now be
-        // fully settled.
+        // fully settled. Notify before unlocking: once the lock is free,
+        // ~TokenFrontEnd's drain() may return and destroy the condvar.
         drained_cv_.notify_all();
         return;
       }

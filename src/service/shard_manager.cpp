@@ -1,6 +1,8 @@
 #include "service/shard_manager.h"
 
 #include <algorithm>
+#include <map>
+#include <mutex>
 #include <random>
 #include <stdexcept>
 #include <thread>
@@ -36,23 +38,83 @@ std::uint64_t ceil_share(std::uint64_t total, std::size_t index,
 
 struct ShardManager::Shard {
   explicit Shard(const std::vector<std::size_t>& factors)
-      : runtime(),
-        network(make_k_network(factors, runtime)),
-        cnet(network),
-        local_tokens(&runtime.metrics().counter("service.shard.tokens")) {}
+      : runtime(), network(make_k_network(factors, runtime)), cnet(network) {
+    runtime.metrics().register_gauge("service.shard.tokens",
+                                     [this] { return tokens(); });
+  }
+
+  /// Tokens routed this epoch: every token leaves through exactly one
+  /// output, so the exit counts already count them.
+  [[nodiscard]] std::uint64_t epoch_tokens() const {
+    std::uint64_t sum = 0;
+    for (std::size_t i = 0; i < network.width(); ++i) {
+      sum += static_cast<std::uint64_t>(cnet.exits(i));
+    }
+    return sum;
+  }
+  [[nodiscard]] std::uint64_t tokens() const {
+    return closed_tokens.load(std::memory_order_relaxed) + epoch_tokens();
+  }
 
   Runtime runtime;          // private tenant: own caches, metrics, pool
   Network network;          // owned storage — cnet references it
   ConcurrentNetwork cnet;
-  obs::Counter* local_tokens;      // shard runtime's registry
-  obs::Counter* home_tokens = nullptr;  // home registry, service.shardJ.*
-  std::atomic<std::uint64_t> epoch_tokens{0};  // scored by rebalance()
+  std::atomic<std::uint64_t> closed_tokens{0};  // routed in closed epochs
+};
+
+// The home registry's token gauges. A registry holds one gauge per name,
+// so every manager built on one home runtime shares one ledger, and the
+// gauges sum it: live managers are read live, destroyed ones by the
+// values they retired with. Series 0 is service.tokens, series 1 + J is
+// service.shard<J>.tokens.
+struct ShardManager::HomeLedger {
+  std::mutex mu;
+  std::vector<const ShardManager*> live;
+  std::vector<std::uint64_t> retired;
+
+  static std::uint64_t series(const ShardManager& m, std::size_t s) {
+    if (s == 0) return m.total();
+    return s - 1 < m.shard_count() ? m.shard_tokens(s - 1) : 0;
+  }
+
+  std::uint64_t read(std::size_t s) {
+    const std::lock_guard<std::mutex> lock(mu);
+    std::uint64_t sum = s < retired.size() ? retired[s] : 0;
+    for (const ShardManager* m : live) sum += series(*m, s);
+    return sum;
+  }
+
+  void retire(const ShardManager& m) {
+    const std::lock_guard<std::mutex> lock(mu);
+    std::erase(live, &m);
+    retired.resize(std::max(retired.size(), m.shard_count() + 1), 0);
+    for (std::size_t s = 0; s <= m.shard_count(); ++s) {
+      retired[s] += series(m, s);
+    }
+  }
+
+  /// The ledger of `registry`, created on first use. The registry's own
+  /// gauges keep it alive, so it outlives every manager that used it and
+  /// dies with the registry.
+  static std::shared_ptr<HomeLedger> of(const obs::MetricsRegistry& registry) {
+    static std::mutex table_mu;
+    static std::map<const obs::MetricsRegistry*, std::weak_ptr<HomeLedger>>
+        table;
+    const std::lock_guard<std::mutex> lock(table_mu);
+    std::erase_if(table, [](const auto& e) { return e.second.expired(); });
+    std::weak_ptr<HomeLedger>& slot = table[&registry];
+    std::shared_ptr<HomeLedger> ledger = slot.lock();
+    if (ledger == nullptr) {
+      ledger = std::make_shared<HomeLedger>();
+      slot = ledger;
+    }
+    return ledger;
+  }
 };
 
 ShardManager::ShardManager(const Options& options, Runtime& rt)
     : options_(options),
       active_(0),
-      tokens_counter_(&rt.metrics().counter("service.tokens")),
       rebalance_counter_(&rt.metrics().counter("service.rebalances")) {
   if (options_.shards == 0) {
     throw std::invalid_argument("ShardManager needs at least one shard");
@@ -71,8 +133,6 @@ ShardManager::ShardManager(const Options& options, Runtime& rt)
   shards_.reserve(options_.shards);
   for (std::size_t j = 0; j < options_.shards; ++j) {
     auto shard = std::make_unique<Shard>(options_.factors);
-    shard->home_tokens = &rt.metrics().counter(
-        "service.shard" + std::to_string(j) + ".tokens");
     if (options_.visit_probe) shard->cnet.enable_visit_probe();
     shards_.push_back(std::move(shard));
   }
@@ -81,9 +141,24 @@ ShardManager::ShardManager(const Options& options, Runtime& rt)
           ? options_.shards
           : std::min(options_.initial_active, options_.shards);
   active_.store(initial, std::memory_order_release);
+
+  // Join the home ledger last: once `this` is listed, nothing may throw,
+  // or the ledger would keep a pointer the destructor never removes. The
+  // gauges are registered outside the ledger's lock because a snapshot
+  // takes the registry lock and then the ledger's.
+  ledger_ = HomeLedger::of(rt.metrics());
+  rt.metrics().register_gauge(
+      "service.tokens", [ledger = ledger_] { return ledger->read(0); });
+  for (std::size_t j = 0; j < options_.shards; ++j) {
+    rt.metrics().register_gauge(
+        "service.shard" + std::to_string(j) + ".tokens",
+        [ledger = ledger_, j] { return ledger->read(j + 1); });
+  }
+  const std::lock_guard<std::mutex> lock(ledger_->mu);
+  ledger_->live.push_back(this);
 }
 
-ShardManager::~ShardManager() = default;
+ShardManager::~ShardManager() { ledger_->retire(*this); }
 
 std::uint64_t ShardManager::next() {
   if (!tls_cursor.initialized) {
@@ -94,30 +169,28 @@ std::uint64_t ShardManager::next() {
 }
 
 std::uint64_t ShardManager::next_on(Wire wire) {
-  in_flight_.fetch_add(1, std::memory_order_acq_rel);
+  in_flight_.increment();
   // active_ and base_ only move inside rebalance(), which requires
   // in_flight_ == 0 — both are stable for the duration of this call.
   const std::size_t active = active_.load(std::memory_order_acquire);
-  const std::uint64_t d = dispatch_.fetch_add(1, std::memory_order_acq_rel);
+  // Relaxed, like the balancers: each ticket is unique by the RMW's
+  // atomicity alone, and rebalance()/verify_linearity() read the ticket
+  // after the in-flight guard's release/acquire.
+  const std::uint64_t d = dispatch_.fetch_add(1, std::memory_order_relaxed);
   // The offset rotates which SHARD serves ticket d; the value residue
   // stays d % active so the composed values still cover exactly
   // {base .. base + D - 1} (see the header's composition argument).
-  const auto idx = static_cast<std::size_t>((d + offset_) % active);
+  const auto idx = static_cast<std::size_t>(reduce_mod(d + offset_, active));
   Shard& shard = *shards_[idx];
   const auto width = static_cast<std::uint64_t>(shard.network.width());
   const ConcurrentNetwork::ExitEvent exit = shard.cnet.traverse(
-      static_cast<Wire>(static_cast<std::uint64_t>(
-                            wire < 0 ? -wire : wire) %
-                        width));
+      static_cast<Wire>(reduce_mod(
+          static_cast<std::uint64_t>(wire < 0 ? -wire : wire), width)));
   const std::uint64_t local =
       static_cast<std::uint64_t>(exit.position) + width * exit.ticket;
   const std::uint64_t value = base_.load(std::memory_order_relaxed) +
-                              local * active + (d % active);
-  shard.epoch_tokens.fetch_add(1, std::memory_order_relaxed);
-  shard.local_tokens->add(1);
-  shard.home_tokens->add(1);
-  tokens_counter_->add(1);
-  in_flight_.fetch_sub(1, std::memory_order_release);
+                              local * active + reduce_mod(d, active);
+  in_flight_.decrement();
   return value;
 }
 
@@ -127,29 +200,16 @@ void ShardManager::route(std::uint64_t n) {
     tls_cursor.value = thread_seq_.fetch_add(1, std::memory_order_relaxed);
     tls_cursor.initialized = true;
   }
-  in_flight_.fetch_add(1, std::memory_order_acq_rel);
+  in_flight_.increment();
   const std::size_t active = active_.load(std::memory_order_acquire);
-  // Per-shard counts accumulate locally and flush once: the metric adds
-  // would otherwise be three more shared fetch-adds per token.
-  std::vector<std::uint64_t> per_shard(active, 0);
   for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint64_t d = dispatch_.fetch_add(1, std::memory_order_acq_rel);
-    const auto idx = static_cast<std::size_t>((d + offset_) % active);
-    Shard& shard = *shards_[idx];
-    const auto width = static_cast<std::uint32_t>(shard.network.width());
-    (void)shard.cnet.traverse(
-        static_cast<Wire>(tls_cursor.value++ % width));
-    ++per_shard[idx];
+    const std::uint64_t d = dispatch_.fetch_add(1, std::memory_order_relaxed);
+    Shard& shard =
+        *shards_[static_cast<std::size_t>(reduce_mod(d + offset_, active))];
+    (void)shard.cnet.traverse(static_cast<Wire>(
+        reduce_mod(tls_cursor.value++, shard.network.width())));
   }
-  for (std::size_t idx = 0; idx < active; ++idx) {
-    if (per_shard[idx] == 0) continue;
-    Shard& shard = *shards_[idx];
-    shard.epoch_tokens.fetch_add(per_shard[idx], std::memory_order_relaxed);
-    shard.local_tokens->add(per_shard[idx]);
-    shard.home_tokens->add(per_shard[idx]);
-  }
-  tokens_counter_->add(n);
-  in_flight_.fetch_sub(1, std::memory_order_release);
+  in_flight_.decrement();
 }
 
 std::size_t ShardManager::shard_count() const { return shards_.size(); }
@@ -174,9 +234,11 @@ std::uint64_t ShardManager::total() const {
   return epoch_base() + dispatched();
 }
 
-std::uint64_t ShardManager::in_flight() const {
-  return in_flight_.load(std::memory_order_acquire);
+std::uint64_t ShardManager::shard_tokens(std::size_t shard) const {
+  return shards_.at(shard)->tokens();
 }
+
+std::uint64_t ShardManager::in_flight() const { return in_flight_.sum(); }
 
 void ShardManager::quiesce() const {
   while (in_flight() != 0) std::this_thread::yield();
@@ -270,8 +332,7 @@ ShardManager::RebalanceDecision ShardManager::rebalance() {
   // model covers probe-less deployments.
   for (std::size_t j = 0; j < decision.active_before; ++j) {
     Shard& shard = *shards_[j];
-    const std::uint64_t tokens =
-        shard.epoch_tokens.load(std::memory_order_acquire);
+    const std::uint64_t tokens = shard.epoch_tokens();
     double hottest = 0.0;
     const std::vector<std::uint64_t> visits = shard.cnet.gate_visits();
     if (!visits.empty() && tokens > 0) {
@@ -299,8 +360,9 @@ ShardManager::RebalanceDecision ShardManager::rebalance() {
   base_.fetch_add(dispatch_.exchange(0, std::memory_order_acq_rel),
                   std::memory_order_acq_rel);
   for (auto& shard : shards_) {
+    shard->closed_tokens.fetch_add(shard->epoch_tokens(),
+                                   std::memory_order_relaxed);
     shard->cnet.reset();
-    shard->epoch_tokens.store(0, std::memory_order_release);
   }
   active_.store(next_active, std::memory_order_release);
   if (next_active != decision.active_before) rebalance_counter_->add(1);

@@ -48,6 +48,13 @@
 // calls; quiesce() spin-waits for that state, and checked builds
 // (SCNET_CHECKED) throw std::logic_error on violations, mirroring
 // ConcurrentNetwork's own guard.
+//
+// Hot path: per token, the only read-modify-writes on words other threads
+// also write are the dispatch ticket (on its own cache line), the shard's
+// balancers and one exit counter. The in-flight count is striped per
+// thread (perf/hot_path.h), and the token metrics are gauges derived from
+// total() and the shards' exit counts instead of counters bumped per
+// token.
 #pragma once
 
 #include <atomic>
@@ -58,6 +65,7 @@
 #include <vector>
 
 #include "count/fetch_inc.h"
+#include "perf/hot_path.h"
 #include "runtime/runtime.h"
 #include "sim/concurrent_sim.h"
 
@@ -93,10 +101,14 @@ class ShardManager final : public FetchIncCounter {
     std::optional<std::uint64_t> dispatch_offset = std::nullopt;
   };
 
-  /// `rt` is the service's home runtime: the `service.*` counters publish
+  /// `rt` is the service's home runtime: the `service.*` metrics publish
   /// into its MetricsRegistry (so `--metrics` on the caller's runtime sees
   /// them). Each shard additionally owns a private Runtime whose registry
-  /// carries that shard's `service.shard.tokens` series.
+  /// carries that shard's `service.shard.tokens` gauge.
+  ///
+  /// The home gauges `service.tokens` and `service.shard<J>.tokens` sum
+  /// over every manager built on `rt`: live managers are read live, and a
+  /// destroyed manager contributes the values it had when destroyed.
   explicit ShardManager(const Options& options,
                         Runtime& rt = Runtime::shared());
   ~ShardManager() override;
@@ -127,6 +139,9 @@ class ShardManager final : public FetchIncCounter {
   [[nodiscard]] std::uint64_t epoch_base() const;
   /// Total values handed out so far (epoch_base() + dispatched()).
   [[nodiscard]] std::uint64_t total() const;
+  /// Tokens shard `shard` has routed over all epochs: the closed epochs'
+  /// sum plus its network's exit counts. Exact at quiescence.
+  [[nodiscard]] std::uint64_t shard_tokens(std::size_t shard) const;
   /// next()/route() calls currently executing.
   [[nodiscard]] std::uint64_t in_flight() const;
   /// True when no call is in flight (output accessors are meaningful).
@@ -175,17 +190,21 @@ class ShardManager final : public FetchIncCounter {
 
  private:
   struct Shard;
+  struct HomeLedger;
 
+  // Read-mostly: written only at construction and inside rebalance().
   Options options_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::uint64_t offset_ = 0;  // resolved dispatch offset
   std::atomic<std::size_t> active_;
-  std::atomic<std::uint64_t> dispatch_{0};  // epoch-local round-robin ticket
-  std::atomic<std::uint64_t> base_{0};      // values handed out pre-epoch
-  std::atomic<std::uint64_t> in_flight_{0};
-  std::atomic<std::uint32_t> thread_seq_{0};  // entry-wire spreading
-  obs::Counter* tokens_counter_;      // service.tokens (home registry)
-  obs::Counter* rebalance_counter_;   // service.rebalances
+  std::atomic<std::uint64_t> base_{0};  // values handed out pre-epoch
+  std::shared_ptr<HomeLedger> ledger_;  // home service.*tokens gauges
+  obs::Counter* rebalance_counter_;     // service.rebalances
+  std::atomic<std::uint32_t> thread_seq_{0};  // once per thread
+
+  // Written by every token: each on lines of its own.
+  alignas(64) std::atomic<std::uint64_t> dispatch_{0};  // round-robin ticket
+  StripedCount in_flight_;  // next()/route() calls executing
 };
 
 }  // namespace scn

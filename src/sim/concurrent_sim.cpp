@@ -18,25 +18,22 @@ ConcurrentNetwork::ConcurrentNetwork(const Network& net)
       exit_counts_(std::make_unique<PaddedCounter[]>(net.width())) {}
 
 // The quiescence guard: reset() and output_counts() are only valid with no
-// token inside traverse(), but nothing used to check it. Checked builds
-// track an in-flight count (one more contended word per token — acceptable
-// exactly where the wire contracts are already validated); release builds
-// compile the tracking out so the hot path is untouched.
+// token inside traverse(). Checked builds track an in-flight count, striped
+// per thread so that it touches no line other threads write; release
+// builds compile the tracking out.
 void ConcurrentNetwork::begin_token() {
 #ifdef SCNET_CHECKED
-  in_flight_.value.fetch_add(1, std::memory_order_acq_rel);
+  in_flight_.increment();
 #endif
 }
 
 void ConcurrentNetwork::end_token() {
 #ifdef SCNET_CHECKED
-  in_flight_.value.fetch_sub(1, std::memory_order_acq_rel);
+  in_flight_.decrement();
 #endif
 }
 
-std::uint64_t ConcurrentNetwork::in_flight() const {
-  return in_flight_.value.load(std::memory_order_acquire);
-}
+std::uint64_t ConcurrentNetwork::in_flight() const { return in_flight_.sum(); }
 
 void ConcurrentNetwork::check_quiescent(const char* what) const {
 #ifdef SCNET_CHECKED
@@ -59,6 +56,12 @@ ConcurrentNetwork::ExitEvent ConcurrentNetwork::traverse(Wire in) {
   // Raw pointer hoisted out of the loop: the probe branch is one
   // well-predicted test per hop when disabled (the common case).
   PaddedCounter* const probe = visit_counts_.get();
+  // Balancer toggles and exit tickets are relaxed: a token's slot and
+  // ticket are unique because each fetch-add is atomic, in any order, and
+  // no token reads data another published through a balancer. Quiescent
+  // readers (output_counts(), reset(), the service's composition checks)
+  // are ordered after every traversal by the guard's release decrement
+  // and acquire sum, or by a thread join.
   while (gate != LinkedNetwork::kExit) {
     const auto g = static_cast<std::size_t>(gate);
     const std::uint32_t p = net.gates()[g].width;
@@ -66,14 +69,14 @@ ConcurrentNetwork::ExitEvent ConcurrentNetwork::traverse(Wire in) {
       probe[g].value.fetch_add(1, std::memory_order_relaxed);
     }
     const std::uint64_t ticket =
-        gate_state_[g].value.fetch_add(1, std::memory_order_acq_rel);
-    const auto slot = static_cast<std::size_t>(ticket % p);
+        gate_state_[g].value.fetch_add(1, std::memory_order_relaxed);
+    const auto slot = static_cast<std::size_t>(reduce_mod(ticket, p));
     wire = linked_.slot_wire(g, slot);
     gate = linked_.next_gate(g, slot);
   }
   const std::size_t pos = net.output_position(wire);
   const std::uint64_t ticket =
-      exit_counts_[pos].value.fetch_add(1, std::memory_order_acq_rel);
+      exit_counts_[pos].value.fetch_add(1, std::memory_order_relaxed);
   end_token();
   return {pos, ticket};
 }

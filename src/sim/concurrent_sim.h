@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "net/linked_network.h"
+#include "perf/hot_path.h"
 #include "seq/sequence_props.h"
 #include "sim/schedule.h"
 
@@ -58,16 +59,17 @@ class ConcurrentNetwork {
 
   /// Tokens currently inside traverse() (or externally marked via
   /// begin_token()). Always 0 when the library was built without
-  /// SCNET_CHECKED — the tracking word would be one more contended
-  /// cache line on the hot path, so it exists only in checked builds
-  /// (builder_checks_enabled() reports which one you have).
+  /// SCNET_CHECKED (builder_checks_enabled() reports which one you
+  /// have). In checked builds the count is striped per thread
+  /// (perf/hot_path.h), so the guard adds no shared word to the hot path.
   [[nodiscard]] std::uint64_t in_flight() const;
 
   /// Marks an externally managed token as in flight / done, extending the
   /// quiescence guard across routers whose token lifetime spans more than
   /// one call (and letting the negative contract tests pin the guard
   /// deterministically). traverse() brackets itself with the same pair.
-  /// No-ops without SCNET_CHECKED.
+  /// The two calls may come from different threads. No-ops without
+  /// SCNET_CHECKED.
   void begin_token();
   void end_token();
 
@@ -98,7 +100,7 @@ class ConcurrentNetwork {
   std::unique_ptr<PaddedCounter[]> gate_state_;
   std::unique_ptr<PaddedCounter[]> exit_counts_;  // by logical position
   std::unique_ptr<PaddedCounter[]> visit_counts_;  // null until enabled
-  PaddedCounter in_flight_;  // only advanced under SCNET_CHECKED
+  StripedCount in_flight_;  // only advanced under SCNET_CHECKED
 };
 
 struct ConcurrentRunResult {

@@ -8,12 +8,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "api/high_level.h"
 #include "net/network.h"
+#include "obs/metrics.h"
 #include "runtime/runtime.h"
 #include "service/front_end.h"
 #include "service/saturate.h"
@@ -174,6 +177,101 @@ TEST(ShardManagerTest, MetricsPublishIntoHomeRegistry) {
   // Each shard's private runtime carries its own series too.
   EXPECT_EQ(service.shard_runtime(0).metrics().value("service.shard.tokens"),
             5u);
+}
+
+obs::MetricKind kind_of(const obs::MetricsRegistry& registry,
+                        const std::string& name) {
+  for (const obs::MetricSample& s : registry.snapshot()) {
+    if (s.name == name) return s.kind;
+  }
+  ADD_FAILURE() << name << " is not registered";
+  return obs::MetricKind::kCounter;
+}
+
+TEST(ShardManagerTest, TokenGaugesAreExactAcrossRebalances) {
+  // The token series are gauges over total() and the shards' exit counts:
+  // each epoch boundary folds the closed epoch into a per-shard base, so
+  // the series keep adding up across epochs.
+  Runtime rt;
+  ShardManager::Options opts;
+  opts.shards = 3;
+  opts.initial_active = 1;
+  opts.grow_score = 100.0;
+  opts.shrink_score = 0.0;
+  opts.dispatch_offset = 0;
+  ShardManager service(opts, rt);
+  for (int i = 0; i < 2000; ++i) (void)service.next();
+  ASSERT_EQ(service.rebalance().active_after, 2u);
+  for (int i = 0; i < 1001; ++i) (void)service.next();
+  (void)service.rebalance();
+  EXPECT_EQ(rt.metrics().value("service.tokens"), 3001u);
+  EXPECT_EQ(rt.metrics().value("service.shard0.tokens"), 2000u + 501u);
+  EXPECT_EQ(rt.metrics().value("service.shard1.tokens"), 500u);
+  EXPECT_EQ(rt.metrics().value("service.shard2.tokens"), 0u);
+  for (std::size_t j = 0; j < service.shard_count(); ++j) {
+    EXPECT_EQ(service.shard_runtime(j).metrics().value("service.shard.tokens"),
+              service.shard_tokens(j));
+    EXPECT_EQ(rt.metrics().value("service.shard" + std::to_string(j) +
+                                 ".tokens"),
+              service.shard_tokens(j));
+  }
+  EXPECT_EQ(service.total(), 3001u);
+  EXPECT_EQ(kind_of(rt.metrics(), "service.tokens"), obs::MetricKind::kGauge);
+  EXPECT_EQ(kind_of(rt.metrics(), "service.shard0.tokens"),
+            obs::MetricKind::kGauge);
+  EXPECT_EQ(kind_of(service.shard_runtime(0).metrics(), "service.shard.tokens"),
+            obs::MetricKind::kGauge);
+}
+
+TEST(ShardManagerTest, TwoManagersOnOneHomeRuntimeSumTheirTokens) {
+  // One registry holds one gauge per name, so managers sharing a home
+  // runtime share its token series: they read the sum over both, as the
+  // counters they replace did.
+  Runtime rt;
+  auto first = std::make_unique<ShardManager>(
+      ShardManager::Options{.shards = 2, .dispatch_offset = 0}, rt);
+  ShardManager second(ShardManager::Options{.shards = 3, .dispatch_offset = 0},
+                      rt);
+  for (int i = 0; i < 10; ++i) (void)first->next();
+  for (int i = 0; i < 9; ++i) (void)second.next();
+  EXPECT_EQ(rt.metrics().value("service.tokens"), 19u);
+  EXPECT_EQ(rt.metrics().value("service.shard0.tokens"), 5u + 3u);
+  EXPECT_EQ(rt.metrics().value("service.shard1.tokens"), 5u + 3u);
+  EXPECT_EQ(rt.metrics().value("service.shard2.tokens"), 3u);
+  // Destroying one keeps its share; the other keeps counting live.
+  first.reset();
+  EXPECT_EQ(rt.metrics().value("service.tokens"), 19u);
+  for (int i = 0; i < 3; ++i) (void)second.next();
+  EXPECT_EQ(rt.metrics().value("service.tokens"), 22u);
+  EXPECT_EQ(rt.metrics().value("service.shard2.tokens"), 4u);
+}
+
+TEST(ShardManagerTest, HomeSnapshotAfterDestructionReadsFrozenValues) {
+  // The home gauges outlive the manager: a snapshot taken after it is
+  // destroyed reads the final values, not a callback into freed state.
+  Runtime rt;
+  {
+    ShardManager service(
+        ShardManager::Options{.shards = 2, .dispatch_offset = 0}, rt);
+    for (int i = 0; i < 10; ++i) (void)service.next();
+    ASSERT_EQ(service.rebalance().active_after, 1u);  // idle: shrinks
+    for (int i = 0; i < 4; ++i) (void)service.next();
+  }
+  std::uint64_t tokens = 0, shard0 = 0, shard1 = 0;
+  for (const obs::MetricSample& s : rt.metrics().snapshot()) {
+    if (s.name == "service.tokens") tokens = s.value;
+    if (s.name == "service.shard0.tokens") shard0 = s.value;
+    if (s.name == "service.shard1.tokens") shard1 = s.value;
+  }
+  EXPECT_EQ(tokens, 14u);
+  EXPECT_EQ(shard0, 5u + 4u);
+  EXPECT_EQ(shard1, 5u);
+  // A later manager on the same runtime adds to the frozen values.
+  ShardManager later(ShardManager::Options{.shards = 1}, rt);
+  for (int i = 0; i < 6; ++i) (void)later.next();
+  EXPECT_EQ(rt.metrics().value("service.tokens"), 20u);
+  EXPECT_EQ(rt.metrics().value("service.shard0.tokens"), 9u + 6u);
+  EXPECT_EQ(rt.metrics().value("service.shard1.tokens"), 5u);
 }
 
 TEST(ShardManagerTest, RebalanceGrowsUnderLoadAndShrinksWhenIdle) {
