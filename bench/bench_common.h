@@ -21,8 +21,7 @@ namespace scn::bench {
 
 /// True on hosts where wall-clock comparisons between concurrent
 /// implementations are meaningless (everything is time-sliced onto one
-/// core). Parallelism-sensitive gates go informational here — both the
-/// bench binaries and `scnet_cli tune --gate` key off the same test.
+/// core). Parallelism-sensitive gates go informational here.
 inline bool single_core_host() {
   return std::thread::hardware_concurrency() <= 1;
 }

@@ -7,31 +7,31 @@
 // acceptance bar for the engine is >= 3x interpreter throughput for the
 // single-threaded SoA batch on a width >= 24 network.
 //
-// The backend tiers are measured through tune::ExperimentManager — the
-// same declarative sweep `scnet_cli tune` runs — with one cell per
-// (network, backend): each cell gets a fresh private Runtime, a time
-// guard and best-of-reps timing. Only the interpreter row is measured
-// locally (it is not an engine backend). The sweep runs with
-// parallelism 1: rows feed an acceptance gate, so no sibling cell may
-// perturb a measurement.
+// Each (network, backend) row runs on a fresh private Runtime, sends the
+// raw network (PassLevel::kNone) through the engine dispatcher and keeps
+// the best of 3 runs; the interpreter row is timed the same way. Rows feed
+// the acceptance gate, so they are measured one at a time.
 //
 // Besides the google-benchmark timings, the preamble emits
 // BENCH_engine.json — a machine-readable report of the measured
-// throughputs and speedups per network.
+// throughputs and speedups per network — and main() returns non-zero when
+// any row misses the 3x bar.
 #include <benchmark/benchmark.h>
 
-#include <map>
+#include <functional>
 #include <string>
 
 #include "baseline/bitonic.h"
 #include "bench_common.h"
 #include "core/k_network.h"
 #include "core/l_network.h"
+#include "engine/backend.h"
 #include "engine/batch_engine.h"
 #include "engine/execution_plan.h"
+#include "opt/plan_cache.h"
 #include "perf/thread_pool.h"
+#include "runtime/runtime.h"
 #include "sim/comparator_sim.h"
-#include "tune/experiment.h"
 
 namespace {
 
@@ -39,28 +39,19 @@ using namespace scn;
 
 constexpr std::size_t kBatch = 4096;
 
-/// The backend tiers one sweep covers; the interpreter is measured apart.
-const tune::ExperimentConfig& sweep_config() {
-  static const tune::ExperimentConfig config = [] {
-    tune::ExperimentConfig c;
-    c.name = "engine_batch";
-    c.axes.networks = {
-        tune::NetworkSpec::member(NetworkKind::kK, {4, 4, 4}),
-        tune::NetworkSpec::member(NetworkKind::kK, {2, 3, 4}),
-        tune::NetworkSpec::member(NetworkKind::kL, {4, 4, 4}),
-        tune::NetworkSpec::named(
-            "bitonic32", [](Runtime&) { return make_bitonic_network(5); }),
-    };
-    c.axes.pass_levels = {PassLevel::kNone};  // measure the raw networks
-    c.axes.backends = {EngineBackend::kScalar, EngineBackend::kBatch,
-                       EngineBackend::kThreaded};
-    c.axes.batch_sizes = {kBatch};
-    c.reps = 3;
-    c.max_cell_seconds = 5.0;  // roomy: rows feed the acceptance gate
-    c.parallelism = 1;
-    return c;
-  }();
-  return config;
+struct NetworkCase {
+  std::string name;
+  std::function<Network(Runtime&)> build;
+};
+
+const std::vector<NetworkCase>& networks() {
+  static const std::vector<NetworkCase> cases = {
+      {"K(4x4x4)", [](Runtime& rt) { return make_k_network({4, 4, 4}, rt); }},
+      {"K(2x3x4)", [](Runtime& rt) { return make_k_network({2, 3, 4}, rt); }},
+      {"L(4x4x4)", [](Runtime& rt) { return make_l_network({4, 4, 4}, rt); }},
+      {"bitonic32", [](Runtime&) { return make_bitonic_network(5); }},
+  };
+  return cases;
 }
 
 struct Measurement {
@@ -73,60 +64,57 @@ struct Measurement {
   double threaded_vps = 0;  // plan, SoA batch over the pool
 };
 
-std::vector<Measurement> measure_all() {
-  tune::ExperimentManager manager(sweep_config());
-  const std::vector<tune::CellResult> results = manager.run();
+/// Best-of-3 vectors/sec of `which` sorting kBatch random vectors through
+/// the network, on a fresh Runtime pinned to that backend.
+double backend_vps(const NetworkCase& c, EngineBackend which) {
+  Runtime::Options options;
+  options.pass_level = PassLevel::kNone;  // measure the raw networks
+  options.backend = which;
+  Runtime rt(options);
+  const Network net = c.build(rt);
+  const CachedPlan cached = rt.compiled(
+      net, PassLevel::kNone, PassOptions{.semantics = Semantics::kComparator});
+  const auto inputs = bench::random_inputs(net.width(), kBatch, 99);
+  const double t = bench::best_time([&] {
+    benchmark::DoNotOptimize(
+        engine::sort_batch(*cached.plan, inputs, rt, which));
+  });
+  return static_cast<double>(kBatch) / t;
+}
 
-  // One Measurement per network, in axes order; cells fill the tier
-  // columns, the interpreter column is measured here (best-of-3, same
-  // rep discipline via bench::best_time).
-  std::vector<Measurement> ms;
-  std::map<std::string, std::size_t> index;
-  for (const tune::CellResult& r : results) {
-    if (!r.ok) {
-      std::fprintf(stderr, "cell %s failed: %s\n", r.cell.label().c_str(),
-                   r.error.c_str());
-      continue;
-    }
-    const std::string& name = r.cell.network.name;
-    if (index.find(name) == index.end()) {
-      index[name] = ms.size();
-      Measurement m;
-      m.network = name;
-      m.width = r.width;
-      m.depth = r.depth;
-      ms.push_back(std::move(m));
-    }
-    Measurement& m = ms[index[name]];
-    switch (r.cell.backend) {
-      case EngineBackend::kScalar: m.scalar_vps = r.vectors_per_sec; break;
-      case EngineBackend::kBatch: m.batch_vps = r.vectors_per_sec; break;
-      case EngineBackend::kThreaded:
-        m.threaded_vps = r.vectors_per_sec;
-        break;
-      default: break;
-    }
+std::vector<Measurement> measure_all() {
+  const std::vector<NetworkCase>& cases = networks();
+  std::vector<Measurement> ms(cases.size());
+  // Scalar and batch rows network by network, then the pool-using threaded
+  // rows, then the interpreter. Each row inherits the heap the rows before
+  // it left behind: on a 4-vCPU host, running the interpreter first moved
+  // the K(2x3x4) and L(4x4x4) batch rows by about 20%, so the order is
+  // fixed.
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    ms[i].scalar_vps = backend_vps(cases[i], EngineBackend::kScalar);
+    ms[i].batch_vps = backend_vps(cases[i], EngineBackend::kBatch);
   }
-  for (const tune::NetworkSpec& spec : sweep_config().axes.networks) {
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    ms[i].threaded_vps = backend_vps(cases[i], EngineBackend::kThreaded);
+  }
+  for (std::size_t i = 0; i < cases.size(); ++i) {
     Runtime rt;
-    const Network net =
-        spec.is_family()
-            ? (spec.kind == NetworkKind::kK
-                   ? make_k_network(spec.factors, rt)
-                   : make_l_network(spec.factors, rt))
-            : spec.build(rt);
+    const Network net = cases[i].build(rt);
     const auto inputs = bench::random_inputs(net.width(), kBatch, 99);
     const double t = bench::best_time([&] {
       for (const auto& in : inputs) {
         benchmark::DoNotOptimize(comparator_output_counts(net, in));
       }
     });
-    ms[index[spec.name]].interp_vps = static_cast<double>(kBatch) / t;
+    ms[i].network = cases[i].name;
+    ms[i].width = net.width();
+    ms[i].depth = net.depth();
+    ms[i].interp_vps = static_cast<double>(kBatch) / t;
   }
   return ms;
 }
 
-void emit_report(const std::vector<Measurement>& ms) {
+bool emit_report(const std::vector<Measurement>& ms) {
   bench::print_header(
       "E-ENG  Compiled batch engine vs per-gate interpreter",
       "layer-scheduled SoA batches >= 3x interpreter throughput (w >= 24)");
@@ -156,8 +144,9 @@ void emit_report(const std::vector<Measurement>& ms) {
     report.kv("batch_speedup", speedup);
     report.end_row();
   }
-  report.finish(all_pass);
+  const bool pass = report.finish(all_pass);
   std::printf("\n");
+  return pass;
 }
 
 template <typename Runner>
@@ -232,8 +221,8 @@ BENCHMARK(BM_PlanCountBatchK64)->Unit(benchmark::kMillisecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  emit_report(measure_all());
+  const bool pass = emit_report(measure_all());
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return pass ? 0 : 1;
 }

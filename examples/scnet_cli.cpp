@@ -34,19 +34,6 @@
 //                      [--seed S]          drive the sharded counting
 //                                            service and verify counter
 //                                            linearity at quiescence
-//   scnet_cli tune [--quick] [--profile P] [--widths w0,w1,...] [--gate]
-//                                            run the autotuning sweep
-//                                            (src/tune/) and write the
-//                                            machine profile; --gate exits
-//                                            non-zero unless some width's
-//                                            measured best beats the static
-//                                            policy's choice (informational
-//                                            on single-core hosts)
-//   scnet_cli sort --profile=P ...           backend chosen from the
-//                                            measured profile (static
-//                                            fallback on mismatch)
-//   scnet_cli saturate --profile=P ...       shard factorization chosen by
-//                                            the profile-backed planner
 //   scnet_cli build --stats K 2x3x5    also report construction time and
 //                                            module-cache counters on stderr
 //   scnet_cli optimize --stats < net.scnet   also report module-cache and
@@ -63,14 +50,15 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <iterator>
 #include <optional>
 #include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "api/high_level.h"
 #include "baseline/batcher.h"
-#include "core/planner.h"
 #include "baseline/bitonic.h"
 #include "baseline/bubble.h"
 #include "baseline/periodic.h"
@@ -96,8 +84,6 @@
 #include "sim/concurrent_sim.h"
 #include "sim/count_sim.h"
 #include "sim/schedule.h"
-#include "tune/experiment.h"
-#include "tune/profile.h"
 #include "verify/checkers.h"
 #include "verify/counting_verify.h"
 #include "verify/sorting_verify.h"
@@ -129,10 +115,7 @@ int usage() {
                "[--semantics={comparator|balancer}] < net.scnet\n"
                "  scnet_cli saturate [--shards N] [--threads N] [--tokens N]"
                " [--schedule {uniform|bursty|skewed|adversarial}]"
-               " [--factors p0xp1x...] [--sync] [--seed S]"
-               " [--profile <path>]\n"
-               "  scnet_cli tune [--quick] [--profile <path>]"
-               " [--widths w0,w1,...] [--gate]\n"
+               " [--factors p0xp1x...] [--sync] [--seed S]\n"
                "global options (any command):\n"
                "  --metrics            dump the metrics registry to stderr\n"
                "  --trace <out.json>   write a chrome://tracing span file\n"
@@ -148,40 +131,6 @@ std::vector<std::size_t> parse_factors(const std::string& s) {
     out.push_back(std::strtoul(item.c_str(), nullptr, 10));
   }
   return out;
-}
-
-std::vector<std::size_t> parse_size_list(const std::string& s) {
-  std::vector<std::size_t> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    out.push_back(std::strtoul(item.c_str(), nullptr, 10));
-  }
-  return out;
-}
-
-// Loads a machine profile for --profile=<path>. Failure is never fatal:
-// a missing/corrupt file or a foreign fingerprint degrades to the static
-// policy with a stderr note, because a profile is an optimization hint.
-std::optional<tune::MachineProfile> load_profile_or_warn(
-    const std::string& path) {
-  auto profile = tune::MachineProfile::load(path);
-  if (!profile) {
-    std::fprintf(stderr,
-                 "profile: could not load %s; using static policy\n",
-                 path.c_str());
-    return std::nullopt;
-  }
-  if (!profile->matches_host()) {
-    std::fprintf(stderr,
-                 "profile: %s was measured on a different machine "
-                 "(fingerprint %s, host %s); using static policy\n",
-                 path.c_str(), profile->fingerprint().c_str(),
-                 tune::MachineProfile::fingerprint_for(machine_caps())
-                     .c_str());
-    return std::nullopt;
-  }
-  return profile;
 }
 
 std::vector<Count> parse_counts(const std::string& s) {
@@ -292,15 +241,10 @@ int cmd_sort(Runtime& rt, const Network& net, int argc, char** argv) {
   std::uint64_t seed = 42;
   PassLevel passes = default_pass_level();
   std::string values_arg;
-  std::optional<tune::MachineProfile> profile;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--engine=", 0) == 0) {
       engine = arg.substr(9);
-    } else if (arg.rfind("--profile=", 0) == 0) {
-      profile = load_profile_or_warn(arg.substr(10));
-    } else if (arg == "--profile" && i + 1 < argc) {
-      profile = load_profile_or_warn(argv[++i]);
     } else if (arg.rfind("--passes=", 0) == 0) {
       const auto parsed = parse_pass_level(arg.substr(9));
       if (!parsed) {
@@ -338,17 +282,7 @@ int cmd_sort(Runtime& rt, const Network& net, int argc, char** argv) {
                        PassOptions{.semantics = Semantics::kComparator});
   };
   const auto backend_choice = [&](const CachedPlan& cached) {
-    if (forced) return *forced;
-    if (profile) {
-      // Measured dispatch: the profile-backed select_backend() overload
-      // (nearest measured cell for this width/lane count, static policy
-      // when the profile has nothing to say). Backends agree on outputs,
-      // so this only moves throughput, never results.
-      return select_backend(engine::plan_shape(*cached.plan),
-                            batch > 0 ? batch : 1, machine_caps(),
-                            &*profile);
-    }
-    return cached.backend;
+    return forced ? *forced : cached.backend;
   };
 
   if (batch > 0) {
@@ -514,8 +448,6 @@ int cmd_saturate(Runtime& rt, int argc, char** argv) {
   sat.threads = 4;
   sat.tokens_per_thread = 2000;
   sat.async = true;
-  bool factors_given = false;
-  std::string profile_path;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--shards" && i + 1 < argc) {
@@ -526,11 +458,6 @@ int cmd_saturate(Runtime& rt, int argc, char** argv) {
       sat.tokens_per_thread = std::strtoull(argv[++i], nullptr, 10);
     } else if (arg == "--factors" && i + 1 < argc) {
       shard_opts.factors = parse_factors(argv[++i]);
-      factors_given = true;
-    } else if (arg.rfind("--profile=", 0) == 0) {
-      profile_path = arg.substr(10);
-    } else if (arg == "--profile" && i + 1 < argc) {
-      profile_path = argv[++i];
     } else if (arg == "--schedule" && i + 1 < argc) {
       const auto kind = parse_schedule(argv[++i]);
       if (!kind) {
@@ -550,31 +477,6 @@ int cmd_saturate(Runtime& rt, int argc, char** argv) {
   if (shard_opts.shards == 0 || sat.threads == 0) {
     std::fprintf(stderr, "saturate needs --shards >= 1 and --threads >= 1\n");
     return 2;
-  }
-
-  if (!profile_path.empty()) {
-    // Let the profile-backed planner pick the shard factorization at the
-    // same width (shards are K networks; explicit --factors wins).
-    if (factors_given) {
-      std::fprintf(stderr,
-                   "profile: --factors given explicitly; ignoring %s\n",
-                   profile_path.c_str());
-    } else if (const auto profile = load_profile_or_warn(profile_path)) {
-      std::size_t width = 1;
-      for (const std::size_t f : shard_opts.factors) width *= f;
-      PlanRequirements req;
-      req.width = width;
-      req.concurrency = static_cast<double>(sat.threads);
-      req.profile = &*profile;
-      for (const Plan& plan : plan_candidates(req)) {
-        if (plan.kind != NetworkKind::kK) continue;
-        shard_opts.factors = plan.factors;
-        std::printf("profile: shard factors %s chosen by %s planner\n",
-                    format_factors(plan.factors).c_str(),
-                    plan.from_profile ? "measured-profile" : "static");
-        break;
-      }
-    }
   }
 
   ShardManager service(shard_opts, rt);
@@ -602,143 +504,6 @@ int cmd_saturate(Runtime& rt, int argc, char** argv) {
               d.active_before, d.active_after,
               static_cast<unsigned long long>(d.epoch_tokens));
   return (step_ok && res.linearity.ok) ? 0 : 1;
-}
-
-// Runs the autotuning sweep (tune/experiment.h) and writes the machine
-// profile. The report compares, per swept width, the measured-best cell
-// against the static cost model's choice; --gate turns "measured beats
-// static on >= 1 width" into the exit code. On a single-core host the
-// gate is informational: every measurement is time-sliced noise there,
-// so a miss proves nothing.
-int cmd_tune(int argc, char** argv) {
-  bool quick = false;
-  bool gate = false;
-  std::string path = "scnet_profile.json";
-  std::vector<std::size_t> widths;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      quick = true;
-    } else if (arg == "--gate") {
-      gate = true;
-    } else if (arg.rfind("--profile=", 0) == 0) {
-      path = arg.substr(10);
-    } else if (arg == "--profile" && i + 1 < argc) {
-      path = argv[++i];
-    } else if (arg == "--widths" && i + 1 < argc) {
-      widths = parse_size_list(argv[++i]);
-    } else {
-      std::fprintf(stderr, "unknown tune option %s\n", arg.c_str());
-      return 2;
-    }
-  }
-  if (widths.empty()) {
-    widths = quick ? std::vector<std::size_t>{16, 24}
-                   : std::vector<std::size_t>{16, 24, 32, 64};
-  }
-  for (const std::size_t w : widths) {
-    if (w < 2) {
-      std::fprintf(stderr, "tune widths must be >= 2\n");
-      return 2;
-    }
-  }
-
-  // Re-tuning refreshes an existing profile for this machine (append
-  // keeps the faster measurement per sweep point); a stale or foreign
-  // file is replaced outright.
-  tune::MachineProfile profile;
-  if (auto loaded = tune::MachineProfile::load(path);
-      loaded && loaded->matches_host()) {
-    profile = std::move(*loaded);
-  }
-
-  tune::ExperimentManager manager(tune::default_sweep(widths, quick));
-  const std::size_t total = manager.cells().size();
-  std::fprintf(stderr, "tune: %s, %zu cells\n",
-               manager.config().name.c_str(), total);
-  std::size_t done = 0;
-  manager.set_progress([&](const tune::CellResult& r) {
-    ++done;
-    std::fprintf(stderr, "  [%zu/%zu] %s: %s\n", done, total,
-                 r.cell.label().c_str(),
-                 r.ok ? (r.timed_out ? "ok (budget cut)" : "ok")
-                      : r.error.c_str());
-  });
-  const std::vector<tune::CellResult> results = manager.run();
-  const std::size_t stored = tune::append_results(profile, results);
-  if (!profile.save(path)) {
-    std::fprintf(stderr, "tune: failed to write %s\n", path.c_str());
-    return 1;
-  }
-  std::printf("tune: measured %zu cells, stored %zu, profile %s\n",
-              results.size(), stored, path.c_str());
-  std::printf("fingerprint: %s\n", profile.fingerprint().c_str());
-
-  // Per-width verdict. "Static choice" is the static planner's first
-  // candidate that the sweep actually measured (same kind, factors AND
-  // backend), so both sides of the comparison are measurements.
-  bool any_beat = false;
-  for (const std::size_t width : widths) {
-    const tune::ProfileCell* best = nullptr;
-    for (const tune::ProfileCell& c : profile.cells()) {
-      if (c.width != width) continue;
-      if (best == nullptr || c.vectors_per_sec > best->vectors_per_sec) {
-        best = &c;
-      }
-    }
-    if (best == nullptr) {
-      std::printf("width %zu: no measured cells\n", width);
-      continue;
-    }
-    PlanRequirements req;
-    req.width = width;
-    req.batch_lanes = best->lanes;
-    const tune::ProfileCell* static_cell = nullptr;
-    for (const Plan& plan : plan_candidates(req)) {  // static order
-      for (const tune::ProfileCell& c : profile.cells()) {
-        if (c.kind != plan.kind || c.factors != plan.factors ||
-            c.backend != plan.recommended_backend) {
-          continue;
-        }
-        if (static_cell == nullptr ||
-            c.vectors_per_sec > static_cell->vectors_per_sec) {
-          static_cell = &c;
-        }
-      }
-      if (static_cell != nullptr) break;
-    }
-    if (static_cell == nullptr) {
-      std::printf("width %zu: best %s %.0f vectors/s (static choice "
-                  "unmeasured)\n",
-                  width, best->label().c_str(), best->vectors_per_sec);
-      continue;
-    }
-    const double speedup =
-        static_cell->vectors_per_sec > 0
-            ? best->vectors_per_sec / static_cell->vectors_per_sec
-            : 0.0;
-    std::printf("width %zu: best %s %.0f vectors/s | static %s %.0f "
-                "vectors/s | speedup %.2fx\n",
-                width, best->label().c_str(), best->vectors_per_sec,
-                static_cell->label().c_str(),
-                static_cell->vectors_per_sec, speedup);
-    if (best->vectors_per_sec > static_cell->vectors_per_sec) {
-      any_beat = true;
-    }
-  }
-
-  if (!gate) return 0;
-  if (machine_caps().threads <= 1) {
-    std::printf("gate: informational on single-core host (measured beats "
-                "static: %s)\n",
-                any_beat ? "yes" : "no");
-    return 0;
-  }
-  std::printf("gate: %s\n",
-              any_beat ? "PASS (profile beats static policy on >=1 width)"
-                       : "FAIL (static policy matched measured best on "
-                         "every width)");
-  return any_beat ? 0 : 1;
 }
 
 Network read_network_or_die() {
@@ -782,7 +547,18 @@ int dispatch(Runtime& rt, int argc, char** argv) {
 
   if (cmd == "build") return cmd_build(rt, argc, argv);
   if (cmd == "saturate") return cmd_saturate(rt, argc, argv);
-  if (cmd == "tune") return cmd_tune(argc, argv);
+
+  // Every other command reads a network from stdin: reject unknown names
+  // and missing arguments first, so a typo prints usage instead of
+  // blocking on (or failing to parse) stdin.
+  static constexpr std::string_view kNetworkCommands[] = {
+      "info",    "dot",   "ascii", "svg",    "analyze",
+      "verify",  "count", "sort",  "export", "optimize"};
+  if (std::find(std::begin(kNetworkCommands), std::end(kNetworkCommands),
+                cmd) == std::end(kNetworkCommands)) {
+    return usage();
+  }
+  if ((cmd == "count" || cmd == "sort") && argc < 3) return usage();
 
   const Network net = read_network_or_die();
   if (cmd == "info") {
@@ -835,7 +611,7 @@ int dispatch(Runtime& rt, int argc, char** argv) {
     std::printf("sorting (sampled x500): %s\n", sv.ok ? "PASS" : "FAIL");
     return (cv.ok && sv.ok) ? 0 : 1;
   }
-  if (cmd == "count" && argc >= 3) {
+  if (cmd == "count") {
     const auto in = parse_counts(argv[2]);
     if (in.size() != net.width()) {
       std::fprintf(stderr, "need %zu counts\n", net.width());
@@ -844,7 +620,7 @@ int dispatch(Runtime& rt, int argc, char** argv) {
     std::printf("%s\n", format_sequence(output_counts(net, in)).c_str());
     return 0;
   }
-  if (cmd == "sort" && argc >= 3) return cmd_sort(rt, net, argc, argv);
+  if (cmd == "sort") return cmd_sort(rt, net, argc, argv);
   if (cmd == "export") return cmd_export(net, argc, argv);
   if (cmd == "optimize") return cmd_optimize(rt, net, argc, argv);
   return usage();

@@ -8,7 +8,6 @@
 #include "core/factorization.h"
 #include "core/r_network.h"
 #include "perf/thread_pool.h"
-#include "tune/profile.h"
 
 namespace scn {
 
@@ -56,18 +55,6 @@ EngineBackend select_backend(const PlanShape& shape, std::size_t lanes,
     return EngineBackend::kThreaded;
   }
   return EngineBackend::kBatch;
-}
-
-EngineBackend select_backend(const PlanShape& shape, std::size_t lanes,
-                             const MachineCaps& caps,
-                             const tune::MachineProfile* profile) {
-  if (profile != nullptr && profile->matches(caps)) {
-    if (const tune::ProfileCell* cell =
-            profile->best_cell(shape.width, lanes)) {
-      return cell->backend;
-    }
-  }
-  return select_backend(shape, lanes, caps);
 }
 
 BaseCost single_balancer_cost() {

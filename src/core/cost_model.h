@@ -20,10 +20,6 @@
 
 namespace scn {
 
-namespace tune {
-class MachineProfile;  // tune/profile.h — measured autotuning cells
-}  // namespace tune
-
 struct NetworkCost {
   std::size_t gates = 0;
   std::size_t endpoints = 0;  ///< sum of gate widths
@@ -120,8 +116,6 @@ enum class EngineBackend : std::uint8_t {
 /// layer extracts this from an ExecutionPlan (engine::plan_shape); keeping
 /// the struct here lets the policy stay free of engine headers.
 struct PlanShape {
-  std::size_t width = 0;
-  std::size_t depth = 0;
   std::size_t pair_gates = 0;  ///< width-2 gates across all layers
   std::size_t wide_gates = 0;  ///< gates wider than 2
 };
@@ -148,16 +142,5 @@ inline constexpr std::size_t kThreadedMinWork = 1u << 18;  ///< lanes x gates
 [[nodiscard]] EngineBackend select_backend(const PlanShape& shape,
                                            std::size_t lanes,
                                            const MachineCaps& caps);
-
-/// Profile-backed overload: measurements override the policy. When
-/// `profile` is non-null, its fingerprint matches `caps` (same build
-/// capabilities the cells were measured under), and it holds a cell for
-/// shape.width, the fastest measured cell nearest to `lanes` names the
-/// backend. A null, mismatched (stale hardware/build) or width-less
-/// profile falls back to the static policy above — so callers can pass
-/// whatever `MachineProfile::load()` returned without re-checking.
-[[nodiscard]] EngineBackend select_backend(
-    const PlanShape& shape, std::size_t lanes, const MachineCaps& caps,
-    const tune::MachineProfile* profile);
 
 }  // namespace scn

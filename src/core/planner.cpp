@@ -9,18 +9,11 @@
 #include "core/l_network.h"
 #include "opt/optimal_lib.h"
 #include "perf/contention_model.h"
-#include "tune/profile.h"
 
 namespace scn {
 
 std::vector<Plan> plan_candidates(const PlanRequirements& req) {
   assert(req.width >= 2);
-  // A profile only speaks for the machine it was measured on: a stale or
-  // foreign fingerprint silently degrades to the static policy.
-  const tune::MachineProfile* profile =
-      (req.profile != nullptr && req.profile->matches(machine_caps()))
-          ? req.profile
-          : nullptr;
   // Candidate enumeration builds every K/L member it scores. Those builds
   // route through the module cache (core/module.h): distinct factorizations
   // miss once each, but the shared sub-modules (R(p, q), S, T, D) intern
@@ -44,23 +37,12 @@ std::vector<Plan> plan_candidates(const PlanRequirements& req) {
       plan.predicted_latency =
           est.predicted_latency(req.concurrency, req.alpha, req.beta);
       PlanShape shape;
-      shape.width = plan.network.width();
-      shape.depth = plan.network.depth();
       for (std::size_t gi = 0; gi < plan.network.gate_count(); ++gi) {
         (plan.network.gate_wires(gi).size() == 2 ? shape.pair_gates
                                                  : shape.wide_gates) += 1;
       }
       plan.recommended_backend =
           select_backend(shape, req.batch_lanes, machine_caps());
-      const tune::ProfileCell* cell =
-          profile == nullptr
-              ? nullptr
-              : profile->best_cell_for(kind, factors, req.batch_lanes);
-      if (cell != nullptr) {
-        plan.from_profile = true;
-        plan.measured_vps = cell->vectors_per_sec;
-        plan.recommended_backend = cell->backend;
-      }
       std::ostringstream why;
       why << to_string(kind) << "(" << format_factors(factors) << "): depth "
           << plan.network.depth() << ", max balancer "
@@ -68,12 +50,6 @@ std::vector<Plan> plan_candidates(const PlanRequirements& req) {
           << plan.predicted_latency << " at T=" << req.concurrency
           << ", engine backend " << to_string(plan.recommended_backend)
           << " at B=" << req.batch_lanes;
-      if (cell != nullptr) {
-        why << " [profile: " << cell->vectors_per_sec << " vectors/s measured"
-            << " at B=" << cell->lanes << "]";
-      } else {
-        why << " [static cost model]";
-      }
       // Comparator-path consumers can do better than any construction at
       // widths the optimality map covers: point them at the opt-in level.
       if (const OptimalEntry* opt = optimal_sorter_entry(req.width);
@@ -86,12 +62,6 @@ std::vector<Plan> plan_candidates(const PlanRequirements& req) {
     }
   }
   std::sort(plans.begin(), plans.end(), [](const Plan& a, const Plan& b) {
-    // Measured beats modeled: candidates the profile has cells for rank
-    // above static-scored ones, ordered by measured throughput.
-    if (a.from_profile != b.from_profile) return a.from_profile;
-    if (a.from_profile && a.measured_vps != b.measured_vps) {
-      return a.measured_vps > b.measured_vps;
-    }
     if (a.predicted_latency != b.predicted_latency) {
       return a.predicted_latency < b.predicted_latency;
     }

@@ -20,9 +20,6 @@ namespace {
 class ScalarBackend final : public Backend {
  public:
   [[nodiscard]] const char* name() const override { return "scalar"; }
-  [[nodiscard]] BackendCaps caps() const override {
-    return {.uses_pool = false};
-  }
   void run_batch(const ExecutionPlan& plan, Batch<Count>& batch,
                  Runtime& /*rt*/) const override {
     assert(batch.width() == plan.width());
@@ -46,9 +43,6 @@ class ScalarBackend final : public Backend {
 class BatchBackend final : public Backend {
  public:
   [[nodiscard]] const char* name() const override { return "batch"; }
-  [[nodiscard]] BackendCaps caps() const override {
-    return {.uses_pool = false};
-  }
   void run_batch(const ExecutionPlan& plan, Batch<Count>& batch,
                  Runtime& /*rt*/) const override {
     run_plan_batch(plan, batch);
@@ -62,9 +56,6 @@ class BatchBackend final : public Backend {
 class ThreadedBackend final : public Backend {
  public:
   [[nodiscard]] const char* name() const override { return "threaded"; }
-  [[nodiscard]] BackendCaps caps() const override {
-    return {.uses_pool = true};
-  }
   void run_batch(const ExecutionPlan& plan, Batch<Count>& batch,
                  Runtime& rt) const override {
     run_plan_batch(plan, batch, rt.pool());
@@ -194,8 +185,6 @@ std::span<const EngineBackend> registered_backends() {
 
 PlanShape plan_shape(const ExecutionPlan& plan) {
   PlanShape shape;
-  shape.width = plan.width();
-  shape.depth = plan.depth();
   shape.pair_gates = plan.pair_wires().size() / 2;
   shape.wide_gates = plan.wide_gates().size();
   return shape;

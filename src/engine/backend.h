@@ -38,12 +38,6 @@ class Runtime;  // runtime/runtime.h — source of the pool for run_batch
 
 namespace engine {
 
-/// Static capability descriptor of a backend, consumed by tooling; the
-/// dispatch policy itself lives in core/cost_model.h (select_backend).
-struct BackendCaps {
-  bool uses_pool = false;  ///< dispatches onto the runtime's ThreadPool
-};
-
 /// One execution strategy for a compiled plan. Implementations are
 /// stateless and shared; all methods are const and thread-safe.
 class Backend {
@@ -51,7 +45,6 @@ class Backend {
   virtual ~Backend() = default;
 
   [[nodiscard]] virtual const char* name() const = 0;
-  [[nodiscard]] virtual BackendCaps caps() const = 0;
 
   /// Comparator semantics over one vector (physical wire indexing, in
   /// place). Single vectors have no lane dimension to vectorize or shard,

@@ -1,9 +1,9 @@
 // The backend registry and its dispatch policy: name/parse round-trips,
-// capability descriptors, select_backend() threshold behavior, kAuto
-// resolution against real plans, and the Runtime/plan-cache plumbing that
-// carries a backend request from SCNET_BACKEND / Runtime::Options to the
-// dispatcher. Bit-identity of the backends themselves is pinned by the
-// randomized sweep in engine_cross_check_test.cpp.
+// select_backend() threshold behavior, kAuto resolution against real
+// plans, and the Runtime/plan-cache plumbing that carries a backend
+// request from SCNET_BACKEND / Runtime::Options to the dispatcher.
+// Bit-identity of the backends themselves is pinned by the randomized
+// sweep in engine_cross_check_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -47,23 +47,15 @@ TEST(BackendRegistry, ThreeConcreteBackendsWithDistinctNames) {
   }
 }
 
-TEST(BackendRegistry, CapabilityDescriptors) {
-  EXPECT_FALSE(engine::backend(EngineBackend::kScalar).caps().uses_pool);
-  EXPECT_FALSE(engine::backend(EngineBackend::kBatch).caps().uses_pool);
-  EXPECT_TRUE(engine::backend(EngineBackend::kThreaded).caps().uses_pool);
-}
-
 TEST(DispatchPolicy, SingleLaneIsAlwaysScalar) {
-  const PlanShape pairs{.width = 16, .depth = 10, .pair_gates = 80,
-                        .wide_gates = 0};
+  const PlanShape pairs{.pair_gates = 80, .wide_gates = 0};
   const MachineCaps everything{.threads = 8};
   EXPECT_EQ(select_backend(pairs, 1, everything), EngineBackend::kScalar);
   EXPECT_EQ(select_backend(pairs, 0, everything), EngineBackend::kScalar);
 }
 
 TEST(DispatchPolicy, ThreadedNeedsLanesWorkAndThreads) {
-  const PlanShape pairs{.width = 16, .depth = 10, .pair_gates = 2048,
-                        .wide_gates = 0};
+  const PlanShape pairs{.pair_gates = 2048, .wide_gates = 0};
   const MachineCaps multi{.threads = 8};
   const MachineCaps single{.threads = 1};
   // 256 lanes x 2048 gates = 1 << 19 >= kThreadedMinWork.
@@ -73,8 +65,7 @@ TEST(DispatchPolicy, ThreadedNeedsLanesWorkAndThreads) {
   EXPECT_EQ(select_backend(pairs, kThreadedMinLanes, single),
             EngineBackend::kBatch);
   // Enough lanes but a tiny plan: lanes x gates below the work floor.
-  const PlanShape tiny{.width = 4, .depth = 3, .pair_gates = 6,
-                       .wide_gates = 0};
+  const PlanShape tiny{.pair_gates = 6, .wide_gates = 0};
   EXPECT_EQ(select_backend(tiny, kThreadedMinLanes, multi),
             EngineBackend::kBatch);
   // Lots of work but too few lanes to shard.
@@ -85,8 +76,7 @@ TEST(DispatchPolicy, ThreadedNeedsLanesWorkAndThreads) {
 TEST(DispatchPolicy, PairOnlyPlansTakeTheBatchTierBelowTheThreadedFloor) {
   // Width-2-only plans get no tier of their own: below the threaded work
   // floor they run on batch, whose width-2 rows the compiler vectorizes.
-  const PlanShape pairs_only{.width = 32, .depth = 15, .pair_gates = 240,
-                             .wide_gates = 0};
+  const PlanShape pairs_only{.pair_gates = 240, .wide_gates = 0};
   const MachineCaps multi{.threads = 8};
   for (const std::size_t lanes : {2u, 64u, 255u}) {
     EXPECT_EQ(select_backend(pairs_only, lanes, multi), EngineBackend::kBatch)
@@ -102,8 +92,6 @@ TEST(DispatchPolicy, PlanShapeExtraction) {
   // bitonic(3): width 8, every gate width-2.
   const ExecutionPlan b = compile_plan(make_bitonic_network(3));
   const PlanShape bs = engine::plan_shape(b);
-  EXPECT_EQ(bs.width, 8u);
-  EXPECT_EQ(bs.depth, b.depth());
   EXPECT_EQ(bs.pair_gates + bs.wide_gates, b.gate_count());
   EXPECT_EQ(bs.wide_gates, 0u);
 

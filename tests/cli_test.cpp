@@ -435,6 +435,28 @@ TEST(Cli, BadUsageExitsTwo) {
   EXPECT_EQ(run_command(kCli + " build bitonic 12").exit_code, 2);
 }
 
+TEST(Cli, UnknownCommandsPrintUsageWithoutReadingStdin) {
+  // Both names are rejected before stdin is read: no "parse error".
+  for (const std::string cmd : {"tune", "frobnicate"}) {
+    const auto r = run_command(kCli + " " + cmd + " < /dev/null");
+    EXPECT_EQ(r.exit_code, 2) << cmd;
+    EXPECT_NE(r.output.find("usage:"), std::string::npos) << cmd;
+    EXPECT_EQ(r.output.find("parse error"), std::string::npos) << cmd;
+  }
+}
+
+TEST(Cli, SortAndSaturateRejectTheRemovedProfileFlag) {
+  const auto sort = run_command(kCli + " build K 2x2 | " + kCli +
+                                " sort --profile=x 3,1,4,1");
+  EXPECT_EQ(sort.exit_code, 2) << sort.output;
+  EXPECT_NE(sort.output.find("unknown sort option --profile=x"),
+            std::string::npos);
+  const auto saturate = run_command(kCli + " saturate --profile x");
+  EXPECT_EQ(saturate.exit_code, 2) << saturate.output;
+  EXPECT_NE(saturate.output.find("unknown saturate option --profile"),
+            std::string::npos);
+}
+
 TEST(Cli, ParseErrorsAreReported) {
   const auto r = run_command("echo bogus | " + kCli + " info");
   EXPECT_EQ(r.exit_code, 2);

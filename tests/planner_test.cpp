@@ -1,6 +1,9 @@
 // The network planner: feasibility, cap enforcement, concurrency-dependent
-// choices, and candidate ordering.
+// choices, candidate ordering, and the engine backend each candidate
+// recommends.
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "core/planner.h"
 #include "verify/counting_verify.h"
@@ -80,6 +83,31 @@ TEST(Planner, CandidatesIncludeBothKindsWhenFeasible) {
   }
   EXPECT_TRUE(saw_k);
   EXPECT_TRUE(saw_l);
+}
+
+TEST(Planner, RecommendedBackendIsTheStaticDispatchChoice) {
+  for (const std::size_t lanes : {std::size_t{1}, std::size_t{4096}}) {
+    PlanRequirements req;
+    req.width = 24;
+    req.batch_lanes = lanes;
+    const auto plans = plan_candidates(req);
+    ASSERT_FALSE(plans.empty());
+    for (const Plan& plan : plans) {
+      PlanShape shape;
+      for (std::size_t gi = 0; gi < plan.network.gate_count(); ++gi) {
+        (plan.network.gate_wires(gi).size() == 2 ? shape.pair_gates
+                                                 : shape.wide_gates) += 1;
+      }
+      const EngineBackend expected =
+          select_backend(shape, lanes, machine_caps());
+      EXPECT_EQ(plan.recommended_backend, expected)
+          << plan.rationale << " at B=" << lanes;
+      EXPECT_NE(plan.rationale.find(std::string("engine backend ") +
+                                    to_string(expected)),
+                std::string::npos)
+          << plan.rationale;
+    }
+  }
 }
 
 }  // namespace
