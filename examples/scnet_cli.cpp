@@ -281,9 +281,7 @@ int cmd_sort(Runtime& rt, const Network& net, int argc, char** argv) {
     return rt.compiled(net, passes,
                        PassOptions{.semantics = Semantics::kComparator});
   };
-  const auto backend_choice = [&](const CachedPlan& cached) {
-    return forced ? *forced : cached.backend;
-  };
+  const EngineBackend backend_choice = forced ? *forced : rt.backend();
 
   if (batch > 0) {
     // Batch demo/throughput mode: sort `batch` random vectors through the
@@ -305,7 +303,7 @@ int cmd_sort(Runtime& rt, const Network& net, int argc, char** argv) {
     }
     const auto t0 = std::chrono::steady_clock::now();
     const auto outs =
-        scn::engine::sort_batch(plan, inputs, rt, backend_choice(cached));
+        scn::engine::sort_batch(plan, inputs, rt, backend_choice);
     const auto t1 = std::chrono::steady_clock::now();
     const double secs = std::chrono::duration<double>(t1 - t0).count();
     const bool agree =
@@ -329,7 +327,7 @@ int cmd_sort(Runtime& rt, const Network& net, int argc, char** argv) {
     out = comparator_output_counts(net, in);
   } else {
     const CachedPlan cached = plan_for_net();
-    out = scn::engine::sorted_output(*cached.plan, in, backend_choice(cached));
+    out = scn::engine::sorted_output(*cached.plan, in, backend_choice);
   }
   std::printf("%s\n", format_sequence(out).c_str());
   return 0;

@@ -79,7 +79,7 @@ Sorter::Sorter(std::size_t width, Options options, Runtime& rt)
   const CachedPlan cached =
       rt.compiled(net_, PassOptions{.semantics = Semantics::kComparator});
   plan_ = cached.plan;
-  backend_ = cached.backend;
+  backend_ = rt.backend();
 }
 
 const ExecutionPlan& Sorter::plan() const { return *plan_; }

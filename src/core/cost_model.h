@@ -95,7 +95,7 @@ using BaseCost = std::function<NetworkCost(std::size_t p, std::size_t q)>;
 /// time; the other three name concrete implementations.
 enum class EngineBackend : std::uint8_t {
   kAuto = 0,
-  kScalar,    ///< one lane at a time, scalar kernels (the reference)
+  kScalar,    ///< one lane at a time, each walked alone (the reference)
   kBatch,     ///< SoA batch, cache-blocked, auto-vectorized lane loops
   kThreaded,  ///< SoA batch sharded over the runtime's ThreadPool
 };

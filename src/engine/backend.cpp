@@ -11,76 +11,6 @@
 namespace scn::engine {
 namespace {
 
-// ---------------------------------------------------------------------------
-// Backend implementations. All stateless; metrics stay the tier functions'
-// job (engine.run.scalar / engine.run.batch fire where the work happens,
-// not in the dispatcher), so the backends are thin adapters over
-// batch_engine.h.
-
-class ScalarBackend final : public Backend {
- public:
-  [[nodiscard]] const char* name() const override { return "scalar"; }
-  void run_batch(const ExecutionPlan& plan, Batch<Count>& batch,
-                 Runtime& /*rt*/) const override {
-    assert(batch.width() == plan.width());
-    for (std::size_t j = 0; j < batch.batch_size(); ++j) {
-      std::vector<Count> values = batch.lane(j);
-      run_plan(plan, values);
-      batch.set_lane(j, values);
-    }
-  }
-  void run_counts_batch(const ExecutionPlan& plan, Batch<Count>& batch,
-                        Runtime& /*rt*/) const override {
-    assert(batch.width() == plan.width());
-    for (std::size_t j = 0; j < batch.batch_size(); ++j) {
-      std::vector<Count> counts = batch.lane(j);
-      run_plan_counts(plan, counts);
-      batch.set_lane(j, counts);
-    }
-  }
-};
-
-class BatchBackend final : public Backend {
- public:
-  [[nodiscard]] const char* name() const override { return "batch"; }
-  void run_batch(const ExecutionPlan& plan, Batch<Count>& batch,
-                 Runtime& /*rt*/) const override {
-    run_plan_batch(plan, batch);
-  }
-  void run_counts_batch(const ExecutionPlan& plan, Batch<Count>& batch,
-                        Runtime& /*rt*/) const override {
-    run_plan_counts_batch(plan, batch);
-  }
-};
-
-class ThreadedBackend final : public Backend {
- public:
-  [[nodiscard]] const char* name() const override { return "threaded"; }
-  void run_batch(const ExecutionPlan& plan, Batch<Count>& batch,
-                 Runtime& rt) const override {
-    run_plan_batch(plan, batch, rt.pool());
-  }
-  void run_counts_batch(const ExecutionPlan& plan, Batch<Count>& batch,
-                        Runtime& rt) const override {
-    run_plan_counts_batch(plan, batch, rt.pool());
-  }
-  // The tier's pack -> run -> unpack path shards the transposes along with
-  // the kernels; keep it instead of the serial default.
-  [[nodiscard]] std::vector<std::vector<Count>> sort_batch(
-      const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
-      Runtime& rt) const override {
-    return plan_sort_batch(plan, inputs, &rt.pool());
-  }
-  [[nodiscard]] std::vector<std::vector<Count>> count_batch(
-      const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
-      Runtime& rt) const override {
-    return plan_count_batch(plan, inputs, &rt.pool());
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Dispatch plumbing.
-
 void count_dispatch(EngineBackend resolved) {
   // One switch so every branch hands the macro a literal name (the macro
   // caches the registry lookup per call site).
@@ -114,67 +44,76 @@ void count_dispatch(EngineBackend resolved) {
   return {};
 }
 
-std::vector<Count> in_output_order(const ExecutionPlan& plan,
-                                   std::span<const Count> phys) {
-  std::vector<Count> out;
-  out.reserve(plan.width());
-  for (const Wire w : plan.output_order()) {
-    out.push_back(phys[static_cast<std::size_t>(w)]);
-  }
-  return out;
+// Without a pool for the batch backend; the runtime's for threaded. Only
+// called for the two SoA backends.
+ThreadPool* lane_pool(EngineBackend which, Runtime& rt) {
+  return which == EngineBackend::kThreaded ? &rt.pool() : nullptr;
+}
+
+// The scalar backend's batch path: each vector walked alone, one lane at
+// row stride 1 (metrics fire per vector, as engine.run.scalar).
+template <typename RunOne>
+std::vector<std::vector<Count>> each_vector(
+    std::span<const std::vector<Count>> inputs, RunOne run_one) {
+  std::vector<std::vector<Count>> outs;
+  outs.reserve(inputs.size());
+  for (const std::vector<Count>& in : inputs) outs.push_back(run_one(in));
+  return outs;
 }
 
 }  // namespace
 
-void Backend::run(const ExecutionPlan& plan, std::span<Count> values) const {
-  run_plan(plan, values);
-}
-
-void Backend::run_counts(const ExecutionPlan& plan,
-                         std::span<Count> counts) const {
-  run_plan_counts(plan, counts);
+void Backend::run_batch(const ExecutionPlan& plan, Batch<Count>& batch,
+                        Runtime& rt) const {
+  assert(batch.width() == plan.width());
+  if (which_ != EngineBackend::kScalar) {
+    run_plan_batch(plan, batch, lane_pool(which_, rt));
+    return;
+  }
+  std::vector<Count> lane(batch.width());
+  for (std::size_t j = 0; j < batch.batch_size(); ++j) {
+    for (std::size_t w = 0; w < lane.size(); ++w) lane[w] = batch.at(w, j);
+    run_plan(plan, lane);
+    batch.set_lane(j, lane);
+  }
 }
 
 std::vector<std::vector<Count>> Backend::sort_batch(
     const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
     Runtime& rt) const {
-  Batch<Count> batch = pack_batch(inputs, plan.width());
-  run_batch(plan, batch, rt);
-  std::vector<std::vector<Count>> outs;
-  outs.reserve(inputs.size());
-  for (std::size_t j = 0; j < inputs.size(); ++j) {
-    outs.push_back(batch.lane_in_order(j, plan.output_order()));
+  if (which_ == EngineBackend::kScalar) {
+    return each_vector(inputs, [&](std::span<const Count> in) {
+      return plan_comparator_output(plan, in);
+    });
   }
-  return outs;
+  return plan_sort_batch(plan, inputs, lane_pool(which_, rt));
 }
 
 std::vector<std::vector<Count>> Backend::count_batch(
     const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
     Runtime& rt) const {
-  Batch<Count> batch = pack_batch(inputs, plan.width());
-  run_counts_batch(plan, batch, rt);
-  std::vector<std::vector<Count>> outs;
-  outs.reserve(inputs.size());
-  for (std::size_t j = 0; j < inputs.size(); ++j) {
-    outs.push_back(batch.lane_in_order(j, plan.output_order()));
+  if (which_ == EngineBackend::kScalar) {
+    return each_vector(inputs, [&](std::span<const Count> in) {
+      return plan_output_counts(plan, in);
+    });
   }
-  return outs;
+  return plan_count_batch(plan, inputs, lane_pool(which_, rt));
 }
 
 const Backend& backend(EngineBackend which) {
-  static const ScalarBackend scalar;
-  static const BatchBackend batch;
-  static const ThreadedBackend threaded;
+  static constexpr Backend kScalar(EngineBackend::kScalar);
+  static constexpr Backend kBatch(EngineBackend::kBatch);
+  static constexpr Backend kThreaded(EngineBackend::kThreaded);
   switch (which) {
     case EngineBackend::kBatch:
-      return batch;
+      return kBatch;
     case EngineBackend::kThreaded:
-      return threaded;
+      return kThreaded;
     case EngineBackend::kAuto:
     case EngineBackend::kScalar:
       break;
   }
-  return scalar;
+  return kScalar;
 }
 
 std::span<const EngineBackend> registered_backends() {
@@ -206,9 +145,9 @@ std::vector<Count> sorted_output(const ExecutionPlan& plan,
   count_dispatch(resolved);
   SCNET_TRACE_SPAN_ARGS("engine", "dispatch.sorted_output",
                         dispatch_args(resolved, 1));
-  std::vector<Count> values(input.begin(), input.end());
-  backend(resolved).run(plan, values);
-  return in_output_order(plan, values);
+  // One vector has no lane dimension to vectorize or stripe: every
+  // backend runs it as the one-lane walk.
+  return plan_comparator_output(plan, input);
 }
 
 std::vector<Count> counts_output(const ExecutionPlan& plan,
@@ -218,9 +157,7 @@ std::vector<Count> counts_output(const ExecutionPlan& plan,
   count_dispatch(resolved);
   SCNET_TRACE_SPAN_ARGS("engine", "dispatch.counts_output",
                         dispatch_args(resolved, 1));
-  std::vector<Count> counts(input.begin(), input.end());
-  backend(resolved).run_counts(plan, counts);
-  return in_output_order(plan, counts);
+  return plan_output_counts(plan, input);
 }
 
 std::vector<std::vector<Count>> sort_batch(

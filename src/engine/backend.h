@@ -1,14 +1,15 @@
-// Pluggable execution backends for compiled plans.
+// Execution backends for compiled plans.
 //
-// The execution tiers in batch_engine.h (scalar / batch / threaded) used to
-// be free functions picked ad hoc by every caller. This header turns them
-// into a registry of `Backend` objects behind one dispatcher:
+// The three backends are three ways of feeding lanes to the one layer walk
+// in batch_engine.h:
 //
-//   * `scalar`   — one lane at a time through the scalar kernels; the
-//                  reference implementation every other backend is pinned
-//                  against.
-//   * `batch`    — the cache-blocked SoA tier; lane loops auto-vectorize.
-//   * `threaded` — the SoA tier sharded over the runtime's ThreadPool.
+//   * `scalar`   — one lane at a time, each gathered into a contiguous
+//                  vector and walked at row stride 1; the reference every
+//                  other backend is pinned against.
+//   * `batch`    — the cache-blocked SoA walk over every lane on the
+//                  caller's thread; lane loops auto-vectorize.
+//   * `threaded` — the same walk with the lanes striped over the runtime's
+//                  ThreadPool.
 //
 // Callers do not pick a Backend directly: they pass an EngineBackend
 // *request* (core/cost_model.h) — typically `Runtime::backend()`, which is
@@ -38,46 +39,34 @@ class Runtime;  // runtime/runtime.h — source of the pool for run_batch
 
 namespace engine {
 
-/// One execution strategy for a compiled plan. Implementations are
-/// stateless and shared; all methods are const and thread-safe.
+/// One execution strategy for a compiled plan: a concrete EngineBackend
+/// bound to the batch_engine.h entry points. Instances are shared and
+/// immutable; all methods are const and thread-safe.
 class Backend {
  public:
-  virtual ~Backend() = default;
+  explicit constexpr Backend(EngineBackend which) : which_(which) {}
 
-  [[nodiscard]] virtual const char* name() const = 0;
-
-  /// Comparator semantics over one vector (physical wire indexing, in
-  /// place). Single vectors have no lane dimension to vectorize or shard,
-  /// so the default — the scalar tier — is also the fast path; backends
-  /// need not override.
-  virtual void run(const ExecutionPlan& plan, std::span<Count> values) const;
-
-  /// Balancer (quiescent count) semantics over one vector, in place.
-  virtual void run_counts(const ExecutionPlan& plan,
-                          std::span<Count> counts) const;
+  [[nodiscard]] const char* name() const { return to_string(which_); }
 
   /// Comparator semantics over every lane of an SoA batch, in place.
   /// batch.width() must equal plan.width(). `rt` supplies the pool for
-  /// pool-using backends; others ignore it.
-  virtual void run_batch(const ExecutionPlan& plan, Batch<Count>& batch,
-                         Runtime& rt) const = 0;
+  /// the threaded backend; the others ignore it.
+  void run_batch(const ExecutionPlan& plan, Batch<Count>& batch,
+                 Runtime& rt) const;
 
-  /// Count propagation over every lane of an SoA batch, in place.
-  virtual void run_counts_batch(const ExecutionPlan& plan,
-                                Batch<Count>& batch, Runtime& rt) const = 0;
-
-  /// Sorts many input vectors: pack -> run_batch -> unpack, results in
-  /// logical output order (each equals the scalar tier's output for that
-  /// lane). The threaded backend overrides this to shard the transposes
-  /// with the kernels.
-  [[nodiscard]] virtual std::vector<std::vector<Count>> sort_batch(
+  /// Sorts many input vectors; each result, in logical output order,
+  /// equals the scalar tier's output for that vector.
+  [[nodiscard]] std::vector<std::vector<Count>> sort_batch(
       const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
       Runtime& rt) const;
 
   /// Batched count propagation, logical output order.
-  [[nodiscard]] virtual std::vector<std::vector<Count>> count_batch(
+  [[nodiscard]] std::vector<std::vector<Count>> count_batch(
       const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
       Runtime& rt) const;
+
+ private:
+  EngineBackend which_;
 };
 
 /// The registered implementation for a concrete (non-kAuto) choice.

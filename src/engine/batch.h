@@ -53,13 +53,6 @@ class Batch {
     for (std::size_t w = 0; w < width_; ++w) at(w, lane) = in[w];
   }
 
-  /// Gathers lane `lane` back into a per-wire vector (physical order).
-  [[nodiscard]] std::vector<T> lane(std::size_t lane) const {
-    std::vector<T> out(width_);
-    for (std::size_t w = 0; w < width_; ++w) out[w] = at(w, lane);
-    return out;
-  }
-
   /// Gathers lane `lane` permuted into the given logical output order.
   [[nodiscard]] std::vector<T> lane_in_order(
       std::size_t lane, std::span<const Wire> order) const {

@@ -2,13 +2,15 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
+#include <cstdint>
 #include <string>
+#include <vector>
 
-#include "engine/backend.h"
 #include "engine/kernels.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "runtime/runtime.h"
+#include "opt/pass.h"
 
 namespace scn {
 namespace {
@@ -26,268 +28,170 @@ constexpr std::size_t kLaneBlock = 32;
 // 256 lanes x 8 bytes = 2 KB per row segment.
 constexpr std::size_t kExecBlock = 256;
 
-// Runs the full plan as a comparator network over lanes [block_begin,
-// block_end) (one cache block). Every gate — width-2 directly, wider ones
-// via their compile-time compare-exchange expansion — is a branchless
-// min/max over two contiguous row segments, so the inner loops
-// auto-vectorize across the lane dimension with no gather or scratch.
-void comparator_layer(const ExecutionPlan& plan,
-                      const ExecutionPlan::Layer& layer, Batch<Count>& batch,
-                      std::size_t block_begin, std::size_t block_end) {
+// Lane-major rows: lane j of physical wire w lives at base[w * stride + j].
+// A Batch is stride = batch_size; a single vector is stride 1, lane 0.
+struct Rows {
+  Count* base;
+  std::size_t stride;
+
+  [[nodiscard]] Count* row(Wire w) const {
+    return base + static_cast<std::size_t>(w) * stride;
+  }
+};
+
+// One layer over lanes [b, e) of one cache block. Every comparator gate —
+// width-2 directly, wider ones via their compile-time compare-exchange
+// expansion — is a branchless min/max over two row segments, so the lane
+// loops auto-vectorize with no gather or scratch. A wide balancer is
+// irreducible (a width-p balancer is not a network of 2-balancers), so it
+// runs as sum-then-redistribute, both phases row-wise over the lanes.
+template <Semantics S>
+[[gnu::always_inline]] inline void run_layer(
+    const ExecutionPlan& plan, const ExecutionPlan::Layer& layer, Rows rows,
+    std::size_t b, std::size_t e) {
   const auto& pairs = plan.pair_wires();
-  const auto& ces = plan.ce_wires();
   for (std::uint32_t k = layer.pair_begin; k < layer.pair_end; ++k) {
-    Count* hi = batch.row(static_cast<std::size_t>(pairs[2 * k])).data();
-    Count* lo = batch.row(static_cast<std::size_t>(pairs[2 * k + 1])).data();
-    for (std::size_t j = block_begin; j < block_end; ++j) {
-      engine::pair_sort_kernel(hi[j], lo[j]);
+    Count* hi = rows.row(pairs[2 * k]);
+    Count* lo = rows.row(pairs[2 * k + 1]);
+    for (std::size_t j = b; j < e; ++j) {
+      if constexpr (S == Semantics::kComparator) {
+        engine::pair_sort_kernel(hi[j], lo[j]);
+      } else {
+        engine::pair_count_kernel(hi[j], lo[j]);
+      }
     }
   }
-  for (std::uint32_t k = layer.ce_begin; k < layer.ce_end; ++k) {
-    Count* hi = batch.row(static_cast<std::size_t>(ces[2 * k])).data();
-    Count* lo = batch.row(static_cast<std::size_t>(ces[2 * k + 1])).data();
-    for (std::size_t j = block_begin; j < block_end; ++j) {
-      engine::pair_sort_kernel(hi[j], lo[j]);
+  if constexpr (S == Semantics::kComparator) {
+    const auto& ces = plan.ce_wires();
+    for (std::uint32_t k = layer.ce_begin; k < layer.ce_end; ++k) {
+      Count* hi = rows.row(ces[2 * k]);
+      Count* lo = rows.row(ces[2 * k + 1]);
+      for (std::size_t j = b; j < e; ++j) {
+        engine::pair_sort_kernel(hi[j], lo[j]);
+      }
     }
-  }
-}
-
-void comparator_block(const ExecutionPlan& plan, Batch<Count>& batch,
-                      std::size_t block_begin, std::size_t block_end) {
-  for (const ExecutionPlan::Layer& layer : plan.layers()) {
-    comparator_layer(plan, layer, batch, block_begin, block_end);
-  }
-}
-
-// Count-propagation twin of comparator_block. Width-2 gates use the
-// branchless pair kernel; a wide balancer is irreducible (a width-p
-// balancer is not a network of 2-balancers), so it runs as
-// sum-then-redistribute — both phases row-wise over the lane dimension,
-// vectorizable, with one totals row as scratch.
-void count_layer(const ExecutionPlan& plan, const ExecutionPlan::Layer& layer,
-                 Batch<Count>& batch, std::size_t block_begin,
-                 std::size_t block_end, std::vector<Count>& totals) {
-  const auto& pairs = plan.pair_wires();
-  const auto& wides = plan.wide_gates();
-  const auto& wide_wires = plan.wide_wires();
-  const std::size_t n = block_end - block_begin;
-  for (std::uint32_t k = layer.pair_begin; k < layer.pair_end; ++k) {
-    Count* hi = batch.row(static_cast<std::size_t>(pairs[2 * k])).data();
-    Count* lo = batch.row(static_cast<std::size_t>(pairs[2 * k + 1])).data();
-    for (std::size_t j = block_begin; j < block_end; ++j) {
-      engine::pair_count_kernel(hi[j], lo[j]);
-    }
-  }
-  for (std::uint32_t g = layer.wide_begin; g < layer.wide_end; ++g) {
-    const ExecutionPlan::WideGate wg = wides[g];
-    const Wire* ws = wide_wires.data() + wg.first;
-    const auto p = static_cast<Count>(wg.width);
-    std::fill(totals.begin(), totals.begin() + static_cast<std::ptrdiff_t>(n),
-              Count{0});
-    for (std::uint32_t i = 0; i < wg.width; ++i) {
-      const Count* row =
-          batch.row(static_cast<std::size_t>(ws[i])).data() + block_begin;
-      for (std::size_t j = 0; j < n; ++j) totals[j] += row[j];
-    }
-    for (std::uint32_t i = 0; i < wg.width; ++i) {
-      Count* row =
-          batch.row(static_cast<std::size_t>(ws[i])).data() + block_begin;
-      const Count bias = p - 1 - static_cast<Count>(i);
-      // counts are non-negative, so totals[j] + bias >= 0: plain division
-      // implements ceil((total - i) / p).
-      for (std::size_t j = 0; j < n; ++j) row[j] = (totals[j] + bias) / p;
+  } else {
+    const auto& wides = plan.wide_gates();
+    const std::size_t n = e - b;
+    Count totals[kExecBlock];
+    for (std::uint32_t g = layer.wide_begin; g < layer.wide_end; ++g) {
+      const ExecutionPlan::WideGate wg = wides[g];
+      const Wire* ws = plan.wide_wires().data() + wg.first;
+      const auto p = static_cast<Count>(wg.width);
+      std::fill(totals, totals + n, Count{0});
+      for (std::uint32_t i = 0; i < wg.width; ++i) {
+        const Count* row = rows.row(ws[i]) + b;
+        for (std::size_t j = 0; j < n; ++j) totals[j] += row[j];
+      }
+      for (std::uint32_t i = 0; i < wg.width; ++i) {
+        Count* row = rows.row(ws[i]) + b;
+        const Count bias = p - 1 - static_cast<Count>(i);
+        // counts are non-negative, so totals[j] + bias >= 0: plain division
+        // implements ceil((total - i) / p).
+        for (std::size_t j = 0; j < n; ++j) row[j] = (totals[j] + bias) / p;
+      }
     }
   }
 }
 
-void count_block(const ExecutionPlan& plan, Batch<Count>& batch,
-                 std::size_t block_begin, std::size_t block_end,
-                 std::vector<Count>& totals) {
-  for (const ExecutionPlan::Layer& layer : plan.layers()) {
-    count_layer(plan, layer, batch, block_begin, block_end, totals);
-  }
-}
-
-void comparator_lanes(const ExecutionPlan& plan, Batch<Count>& batch,
-                      std::size_t lane_begin, std::size_t lane_end) {
-  for (std::size_t b = lane_begin; b < lane_end; b += kExecBlock) {
-    comparator_block(plan, batch, b, std::min(b + kExecBlock, lane_end));
-  }
-}
-
-void count_lanes(const ExecutionPlan& plan, Batch<Count>& batch,
-                 std::size_t lane_begin, std::size_t lane_end) {
-  std::vector<Count> totals(
-      plan.wide_gates().empty()
-          ? 0
-          : std::min<std::size_t>(kExecBlock, lane_end - lane_begin));
-  for (std::size_t b = lane_begin; b < lane_end; b += kExecBlock) {
-    count_block(plan, batch, b, std::min(b + kExecBlock, lane_end), totals);
-  }
-}
-
-using LaneRunner = void (*)(const ExecutionPlan&, Batch<Count>&, std::size_t,
-                            std::size_t);
-
-// Traced twins of the lane runners: layer-major over the whole lane range
-// so each layer is one span. Layers run over identical lane sets in the
-// same order as the blocked path, and every kernel is lane-pointwise
-// within a layer, so results are bit-identical — only the cache blocking
-// (a pure performance device) is given up while a trace is recording.
 std::string layer_span_args(const ExecutionPlan::Layer& layer,
                             std::size_t lanes) {
-  const auto pairs = layer.pair_end - layer.pair_begin;
-  const auto ces = layer.ce_end - layer.ce_begin;
-  const auto wides = layer.wide_end - layer.wide_begin;
-  return "{\"pairs\":" + std::to_string(pairs) + ",\"ce\":" +
-         std::to_string(ces) + ",\"wide\":" + std::to_string(wides) +
+  return "{\"pairs\":" + std::to_string(layer.pair_end - layer.pair_begin) +
+         ",\"ce\":" + std::to_string(layer.ce_end - layer.ce_begin) +
+         ",\"wide\":" + std::to_string(layer.wide_end - layer.wide_begin) +
          ",\"lanes\":" + std::to_string(lanes) + "}";
 }
 
-void comparator_lanes_traced(const ExecutionPlan& plan, Batch<Count>& batch,
-                             std::size_t lane_begin, std::size_t lane_end) {
-  std::size_t li = 0;
-  for (const ExecutionPlan::Layer& layer : plan.layers()) {
-    obs::ScopedSpan span("engine.layer", "layer " + std::to_string(li++),
-                         layer_span_args(layer, lane_end - lane_begin));
-    comparator_layer(plan, layer, batch, lane_begin, lane_end);
-  }
-}
-
-void count_lanes_traced(const ExecutionPlan& plan, Batch<Count>& batch,
-                        std::size_t lane_begin, std::size_t lane_end) {
-  std::vector<Count> totals(
-      plan.wide_gates().empty() ? 0 : lane_end - lane_begin);
-  std::size_t li = 0;
-  for (const ExecutionPlan::Layer& layer : plan.layers()) {
-    obs::ScopedSpan span("engine.layer", "layer " + std::to_string(li++),
-                         layer_span_args(layer, lane_end - lane_begin));
-    count_layer(plan, layer, batch, lane_begin, lane_end, totals);
-  }
-}
-
-// Picks the traced runner only when observability is compiled in AND a
-// trace is actively recording; otherwise the cache-blocked fast path.
-LaneRunner comparator_runner() {
-  if constexpr (obs::compiled_in()) {
-    if (obs::Tracer::shared().active()) return &comparator_lanes_traced;
-  }
-  return &comparator_lanes;
-}
-
-LaneRunner count_runner() {
-  if constexpr (obs::compiled_in()) {
-    if (obs::Tracer::shared().active()) return &count_lanes_traced;
-  }
-  return &count_lanes;
-}
-
-// Packs input vectors [lane_begin, lane_end) into the batch, lane blocks
-// keeping each input vector hot while its elements scatter across rows.
-void pack_lanes(Batch<Count>& batch,
-                std::span<const std::vector<Count>> inputs,
-                std::size_t lane_begin, std::size_t lane_end) {
-  const std::size_t width = batch.width();
-  for (std::size_t b = lane_begin; b < lane_end; b += kLaneBlock) {
-    const std::size_t e = std::min(b + kLaneBlock, lane_end);
-    for (std::size_t w = 0; w < width; ++w) {
-      for (std::size_t j = b; j < e; ++j) batch.at(w, j) = inputs[j][w];
+// The one layer walk: the whole plan over each kExecBlock-lane block of
+// [lane_begin, lane_end). It is inlined into every entry point so that at
+// a single vector's constant one-lane bounds the lane loops fold away and
+// each gate compiles to a plain scalar compare-exchange. While the shared
+// tracer records, each layer's time is summed over the blocks and recorded
+// as one `engine.layer` event per layer, the events laid end to end from
+// the walk's start — the per-layer split of the schedule that actually ran.
+template <Semantics S>
+[[gnu::always_inline]] inline void run_lanes(const ExecutionPlan& plan,
+                                             Rows rows, std::size_t lane_begin,
+                                             std::size_t lane_end) {
+  using Clock = std::chrono::steady_clock;
+  const auto& layers = plan.layers();
+  bool traced = false;
+  if constexpr (obs::compiled_in()) traced = obs::Tracer::shared().active();
+  std::vector<std::uint64_t> layer_ns(traced ? layers.size() : 0);
+  const std::uint64_t walk_start =
+      traced ? obs::Tracer::shared().now_ns() : 0;
+  for (std::size_t b = lane_begin; b < lane_end; b += kExecBlock) {
+    const std::size_t e = std::min(b + kExecBlock, lane_end);
+    for (std::size_t i = 0; i < layers.size(); ++i) {
+      const Clock::time_point t0 = traced ? Clock::now() : Clock::time_point{};
+      run_layer<S>(plan, layers[i], rows, b, e);
+      if (traced) {
+        layer_ns[i] += static_cast<std::uint64_t>(
+            std::chrono::nanoseconds(Clock::now() - t0).count());
+      }
     }
   }
-}
-
-// Gathers lanes [lane_begin, lane_end) into per-lane vectors in logical
-// output order, same blocking as pack_lanes.
-void unpack_lanes(const Batch<Count>& batch, std::span<const Wire> order,
-                  std::span<std::vector<Count>> outs, std::size_t lane_begin,
-                  std::size_t lane_end) {
-  for (std::size_t b = lane_begin; b < lane_end; b += kLaneBlock) {
-    const std::size_t e = std::min(b + kLaneBlock, lane_end);
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      const auto w = static_cast<std::size_t>(order[i]);
-      for (std::size_t j = b; j < e; ++j) outs[j][i] = batch.at(w, j);
-    }
+  std::uint64_t at = walk_start;
+  for (std::size_t i = 0; i < layer_ns.size(); ++i) {
+    obs::Tracer::shared().record_complete(
+        "layer " + std::to_string(i), "engine.layer", at, layer_ns[i],
+        layer_span_args(layers[i], lane_end - lane_begin));
+    at += layer_ns[i];
   }
 }
 
-void run_sharded(const ExecutionPlan& plan, Batch<Count>& batch,
-                 ThreadPool& pool, std::size_t min_lanes_per_task,
-                 LaneRunner runner) {
+// Runs body(begin, end) over [0, lanes): inline without a pool, otherwise
+// striped into contiguous lane ranges across the pool. Lanes are
+// independent, so results cannot depend on where the stripes fall.
+template <typename Body>
+void for_lanes(ThreadPool* pool, std::size_t lanes, std::size_t grain,
+               const Body& body) {
+  if (pool == nullptr) {
+    body(std::size_t{0}, lanes);
+  } else {
+    pool->parallel_for(lanes, grain, body);
+  }
+}
+
+template <Semantics S>
+void run_batch(const ExecutionPlan& plan, Batch<Count>& batch,
+               ThreadPool* pool, std::size_t grain) {
   assert(batch.width() == plan.width());
-  pool.parallel_for(batch.batch_size(), min_lanes_per_task,
-                    [&](std::size_t begin, std::size_t end) {
-                      runner(plan, batch, begin, end);
-                    });
+  const Rows rows{batch.data(), batch.batch_size()};
+  for_lanes(pool, batch.batch_size(), grain,
+            [&](std::size_t begin, std::size_t end) {
+              run_lanes<S>(plan, rows, begin, end);
+            });
 }
 
-// Pack -> run -> unpack, each shard handling its own lane range end to end
-// (the transposes parallelize with the kernels; lanes are independent).
+// Pack -> walk -> unpack, each stripe handling its own lane range end to
+// end (the transposes parallelize with the kernels). Packing blocks lanes
+// so each input vector stays hot while its elements scatter across rows.
+template <Semantics S>
 std::vector<std::vector<Count>> run_packed(
     const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
-    ThreadPool* pool, LaneRunner runner) {
+    ThreadPool* pool) {
   Batch<Count> batch(plan.width(), inputs.size());
   std::vector<std::vector<Count>> outs(inputs.size(),
                                        std::vector<Count>(plan.width()));
-  auto shard = [&](std::size_t begin, std::size_t end) {
-    pack_lanes(batch, inputs, begin, end);
-    runner(plan, batch, begin, end);
-    unpack_lanes(batch, plan.output_order(), outs, begin, end);
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(inputs.size(), 64, shard);
-  } else {
-    shard(0, inputs.size());
-  }
-  return outs;
-}
-
-// Scalar traversal: same layer walk on a single per-wire vector. Wide
-// comparator gates use the insertion-sort kernel directly (cheaper than
-// the CE expansion when there is no lane dimension to vectorize over).
-template <typename PairKernel, typename WideKernel>
-void scalar_layer(const ExecutionPlan& plan, const ExecutionPlan::Layer& layer,
-                  std::span<Count> values, std::vector<Count>& scratch,
-                  PairKernel pair_kernel, WideKernel wide_kernel) {
-  const auto& pairs = plan.pair_wires();
-  const auto& wides = plan.wide_gates();
-  const auto& wide_wires = plan.wide_wires();
-  for (std::uint32_t k = layer.pair_begin; k < layer.pair_end; ++k) {
-    pair_kernel(values[static_cast<std::size_t>(pairs[2 * k])],
-                values[static_cast<std::size_t>(pairs[2 * k + 1])]);
-  }
-  for (std::uint32_t g = layer.wide_begin; g < layer.wide_end; ++g) {
-    const ExecutionPlan::WideGate wg = wides[g];
-    const Wire* ws = wide_wires.data() + wg.first;
-    const std::span<Count> vals(scratch.data(), wg.width);
-    for (std::uint32_t i = 0; i < wg.width; ++i) {
-      vals[i] = values[static_cast<std::size_t>(ws[i])];
-    }
-    wide_kernel(vals);
-    for (std::uint32_t i = 0; i < wg.width; ++i) {
-      values[static_cast<std::size_t>(ws[i])] = vals[i];
-    }
-  }
-}
-
-template <typename PairKernel, typename WideKernel>
-void run_scalar(const ExecutionPlan& plan, std::span<Count> values,
-                PairKernel pair_kernel, WideKernel wide_kernel) {
-  assert(values.size() == plan.width());
-  std::vector<Count> scratch(plan.max_wide_width());
-  if constexpr (obs::compiled_in()) {
-    if (obs::Tracer::shared().active()) {
-      std::size_t li = 0;
-      for (const ExecutionPlan::Layer& layer : plan.layers()) {
-        obs::ScopedSpan span("engine.layer", "layer " + std::to_string(li++),
-                             layer_span_args(layer, 1));
-        scalar_layer(plan, layer, values, scratch, pair_kernel, wide_kernel);
+  const std::span<const Wire> order = plan.output_order();
+  for_lanes(pool, inputs.size(), 64, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t b = begin; b < end; b += kLaneBlock) {
+      const std::size_t e = std::min(b + kLaneBlock, end);
+      for (std::size_t w = 0; w < plan.width(); ++w) {
+        for (std::size_t j = b; j < e; ++j) batch.at(w, j) = inputs[j][w];
       }
-      return;
     }
-  }
-  for (const ExecutionPlan::Layer& layer : plan.layers()) {
-    scalar_layer(plan, layer, values, scratch, pair_kernel, wide_kernel);
-  }
+    run_lanes<S>(plan, Rows{batch.data(), batch.batch_size()}, begin, end);
+    for (std::size_t b = begin; b < end; b += kLaneBlock) {
+      const std::size_t e = std::min(b + kLaneBlock, end);
+      for (std::size_t i = 0; i < order.size(); ++i) {
+        const auto w = static_cast<std::size_t>(order[i]);
+        for (std::size_t j = b; j < e; ++j) outs[j][i] = batch.at(w, j);
+      }
+    }
+  });
+  return outs;
 }
 
 std::vector<Count> in_output_order(const ExecutionPlan& plan,
@@ -303,11 +207,10 @@ std::vector<Count> in_output_order(const ExecutionPlan& plan,
 }  // namespace
 
 void run_plan(const ExecutionPlan& plan, std::span<Count> values) {
+  assert(values.size() == plan.width());
   SCNET_COUNTER_ADD("engine.run.scalar", 1);
   SCNET_TRACE_SPAN("engine", "run_plan");
-  run_scalar(plan, values,
-             [](Count& hi, Count& lo) { engine::pair_sort_kernel(hi, lo); },
-             [](std::span<Count> vals) { engine::small_sort_descending(vals); });
+  run_lanes<Semantics::kComparator>(plan, Rows{values.data(), 1}, 0, 1);
 }
 
 std::vector<Count> plan_comparator_output(const ExecutionPlan& plan,
@@ -318,11 +221,10 @@ std::vector<Count> plan_comparator_output(const ExecutionPlan& plan,
 }
 
 void run_plan_counts(const ExecutionPlan& plan, std::span<Count> counts) {
+  assert(counts.size() == plan.width());
   SCNET_COUNTER_ADD("engine.run.scalar", 1);
   SCNET_TRACE_SPAN("engine", "run_plan_counts");
-  run_scalar(plan, counts,
-             [](Count& hi, Count& lo) { engine::pair_count_kernel(hi, lo); },
-             [](std::span<Count> vals) { engine::wide_count_kernel(vals); });
+  run_lanes<Semantics::kBalancer>(plan, Rows{counts.data(), 1}, 0, 1);
 }
 
 std::vector<Count> plan_output_counts(const ExecutionPlan& plan,
@@ -332,38 +234,21 @@ std::vector<Count> plan_output_counts(const ExecutionPlan& plan,
   return in_output_order(plan, counts);
 }
 
-void run_plan_batch(const ExecutionPlan& plan, engine::Batch<Count>& batch) {
-  assert(batch.width() == plan.width());
+void run_plan_batch(const ExecutionPlan& plan, engine::Batch<Count>& batch,
+                    ThreadPool* pool, std::size_t min_lanes_per_task) {
   SCNET_COUNTER_ADD("engine.run.batch", 1);
   SCNET_HISTOGRAM_RECORD("engine.batch.lanes", batch.batch_size());
   SCNET_TRACE_SPAN("engine", "run_plan_batch");
-  comparator_runner()(plan, batch, 0, batch.batch_size());
+  run_batch<Semantics::kComparator>(plan, batch, pool, min_lanes_per_task);
 }
 
 void run_plan_counts_batch(const ExecutionPlan& plan,
-                           engine::Batch<Count>& batch) {
-  assert(batch.width() == plan.width());
-  SCNET_COUNTER_ADD("engine.run.batch", 1);
-  SCNET_HISTOGRAM_RECORD("engine.batch.lanes", batch.batch_size());
-  SCNET_TRACE_SPAN("engine", "run_plan_counts_batch");
-  count_runner()(plan, batch, 0, batch.batch_size());
-}
-
-void run_plan_batch(const ExecutionPlan& plan, engine::Batch<Count>& batch,
-                    ThreadPool& pool, std::size_t min_lanes_per_task) {
-  SCNET_COUNTER_ADD("engine.run.batch", 1);
-  SCNET_HISTOGRAM_RECORD("engine.batch.lanes", batch.batch_size());
-  SCNET_TRACE_SPAN("engine", "run_plan_batch(pool)");
-  run_sharded(plan, batch, pool, min_lanes_per_task, comparator_runner());
-}
-
-void run_plan_counts_batch(const ExecutionPlan& plan,
-                           engine::Batch<Count>& batch, ThreadPool& pool,
+                           engine::Batch<Count>& batch, ThreadPool* pool,
                            std::size_t min_lanes_per_task) {
   SCNET_COUNTER_ADD("engine.run.batch", 1);
   SCNET_HISTOGRAM_RECORD("engine.batch.lanes", batch.batch_size());
-  SCNET_TRACE_SPAN("engine", "run_plan_counts_batch(pool)");
-  run_sharded(plan, batch, pool, min_lanes_per_task, count_runner());
+  SCNET_TRACE_SPAN("engine", "run_plan_counts_batch");
+  run_batch<Semantics::kBalancer>(plan, batch, pool, min_lanes_per_task);
 }
 
 std::vector<std::vector<Count>> plan_sort_batch(
@@ -372,7 +257,7 @@ std::vector<std::vector<Count>> plan_sort_batch(
   SCNET_COUNTER_ADD("engine.run.batch", 1);
   SCNET_HISTOGRAM_RECORD("engine.batch.lanes", inputs.size());
   SCNET_TRACE_SPAN("engine", "plan_sort_batch");
-  return run_packed(plan, inputs, pool, comparator_runner());
+  return run_packed<Semantics::kComparator>(plan, inputs, pool);
 }
 
 std::vector<std::vector<Count>> plan_count_batch(
@@ -381,22 +266,7 @@ std::vector<std::vector<Count>> plan_count_batch(
   SCNET_COUNTER_ADD("engine.run.batch", 1);
   SCNET_HISTOGRAM_RECORD("engine.batch.lanes", inputs.size());
   SCNET_TRACE_SPAN("engine", "plan_count_batch");
-  return run_packed(plan, inputs, pool, count_runner());
-}
-
-// The runtime-scoped wrappers go through the backend dispatcher: the
-// runtime's configured request (SCNET_BACKEND / Options::backend, default
-// auto) picks the tier instead of hardwiring the pool-sharded one.
-std::vector<std::vector<Count>> plan_sort_batch(
-    const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
-    Runtime& rt) {
-  return engine::sort_batch(plan, inputs, rt, rt.backend());
-}
-
-std::vector<std::vector<Count>> plan_count_batch(
-    const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
-    Runtime& rt) {
-  return engine::count_batch(plan, inputs, rt, rt.backend());
+  return run_packed<Semantics::kBalancer>(plan, inputs, pool);
 }
 
 }  // namespace scn

@@ -1,15 +1,17 @@
 // Execution entry points for compiled plans.
 //
-// Three tiers, all bit-identical to the per-gate interpreters
-// (sim/comparator_sim.h, sim/count_sim.h):
-//   * scalar: one vector through the plan — drop-in replacement for
-//     apply_comparators / propagate_counts with layer-scheduled kernels;
-//   * batch: a Batch of vectors in SoA layout, layer by layer, so width-2
-//     layers vectorize across the batch dimension;
-//   * threaded batch: lanes are independent, so the batch is sharded into
-//     contiguous lane ranges over a ThreadPool, each shard running the whole
-//     plan. No synchronization is needed between layers, and lane results
-//     cannot depend on the shard boundaries — determinism is structural.
+// Every entry point runs the same walk: the whole plan over each 256-lane
+// cache block of a lane range, through a (base, row stride) view of
+// lane-major rows. Results are bit-identical to the per-gate interpreters
+// (sim/comparator_sim.h, sim/count_sim.h) at every lane count:
+//   * one vector is one lane at row stride 1 — a drop-in replacement for
+//     apply_comparators / propagate_counts;
+//   * a Batch of vectors in SoA layout is row stride = batch size, so each
+//     gate's lane loop vectorizes across the batch dimension;
+//   * given a ThreadPool, the lanes are striped into contiguous ranges,
+//     one per pool task, each running the whole plan. No synchronization
+//     is needed between layers, and lane results cannot depend on the
+//     stripe boundaries — determinism is structural.
 //
 // Comparator entry points use the default descending numeric order (the
 // fast kernels exist precisely because the order is known); callers needing
@@ -26,10 +28,8 @@
 
 namespace scn {
 
-class Runtime;  // runtime/runtime.h — source of the pool for the overloads
-
 // ---------------------------------------------------------------------------
-// Scalar tier.
+// One vector.
 
 /// Applies every gate of the plan to `values` (indexed by physical wire) in
 /// place, layer by layer. Equivalent to apply_comparators(net, values).
@@ -50,26 +50,20 @@ void run_plan_counts(const ExecutionPlan& plan, std::span<Count> counts);
                                                     std::span<const Count> input);
 
 // ---------------------------------------------------------------------------
-// Batch tier (SoA).
+// Batches (SoA).
 
 /// Runs the plan as a comparator network over every lane of `batch` in
-/// place. batch.width() must equal plan.width().
-void run_plan_batch(const ExecutionPlan& plan, engine::Batch<Count>& batch);
+/// place; batch.width() must equal plan.width(). With a `pool`, the lanes
+/// are striped across it in contiguous ranges of at least
+/// `min_lanes_per_task` lanes; without one the walk runs on the caller.
+void run_plan_batch(const ExecutionPlan& plan, engine::Batch<Count>& batch,
+                    ThreadPool* pool = nullptr,
+                    std::size_t min_lanes_per_task = 64);
 
 /// Same for count propagation.
 void run_plan_counts_batch(const ExecutionPlan& plan,
-                           engine::Batch<Count>& batch);
-
-// ---------------------------------------------------------------------------
-// Threaded batch tier.
-
-/// Shards the batch's lanes across `pool` (contiguous ranges, at least
-/// `min_lanes_per_task` lanes each) and runs the full plan per shard.
-void run_plan_batch(const ExecutionPlan& plan, engine::Batch<Count>& batch,
-                    ThreadPool& pool, std::size_t min_lanes_per_task = 64);
-
-void run_plan_counts_batch(const ExecutionPlan& plan,
-                           engine::Batch<Count>& batch, ThreadPool& pool,
+                           engine::Batch<Count>& batch,
+                           ThreadPool* pool = nullptr,
                            std::size_t min_lanes_per_task = 64);
 
 // ---------------------------------------------------------------------------
@@ -86,18 +80,5 @@ void run_plan_counts_batch(const ExecutionPlan& plan,
 [[nodiscard]] std::vector<std::vector<Count>> plan_count_batch(
     const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
     ThreadPool* pool = nullptr);
-
-/// Runtime-scoped wrappers: dispatch through the backend registry
-/// (engine/backend.h) under `rt.backend()` — SCNET_BACKEND /
-/// Runtime::Options::backend, default `auto`, which picks the tier from
-/// plan shape x lane count x machine caps. Outputs are bit-identical to
-/// the explicit-pool overloads on every backend.
-[[nodiscard]] std::vector<std::vector<Count>> plan_sort_batch(
-    const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
-    Runtime& rt);
-
-[[nodiscard]] std::vector<std::vector<Count>> plan_count_batch(
-    const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
-    Runtime& rt);
 
 }  // namespace scn

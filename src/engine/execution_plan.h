@@ -18,13 +18,13 @@
 //     network of 2-balancers — that is the paper's Figure 3 point), and are
 //     ADDITIONALLY expanded into a compare-exchange pair sequence (Batcher
 //     odd-even, relabeled onto the gate's physical wires) so the comparator
-//     path runs branchless min/max only, with no per-lane gather/scatter in
-//     the batch runtime.
+//     path runs branchless min/max only, with no per-lane gather/scatter.
 //
-// The plan is a pure description: all execution entry points live in
-// engine/batch_engine.h, and the same plan drives both comparator values and
-// quiescent count propagation, so the fast path serves sim/ and verify/
-// alike. Semantics are bit-identical to the per-gate interpreters by
+// The plan is a pure description. One layer walk in engine/batch_engine.h
+// executes it for every entry point — one vector is the walk at one lane,
+// a batch the walk over many — and the same plan drives both comparator
+// values and quiescent count propagation, so the fast path serves sim/ and
+// verify/ alike. Semantics are bit-identical to the per-gate interpreters by
 // construction: layers preserve the topological gate order's effect because
 // no wire is touched twice within a layer.
 #pragma once

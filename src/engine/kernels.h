@@ -1,23 +1,18 @@
-// Gate kernels for the compiled engine.
+// Width-2 gate kernels for the compiled engine's layer walk.
 //
-// Two shapes cover every gate a plan can contain:
-//   * width-2 comparator: branchless min/max. In the batch runtime this is
-//     the inner loop over the batch dimension; with SoA layout it compiles
-//     to straight-line select/blend code the vectorizer handles across the
-//     whole batch.
-//   * width-p comparator (p > 2): insertion sort, descending, over a
-//     caller-provided scratch span. Gate widths are bounded by the
-//     construction (the paper's balancer size), so insertion sort beats
-//     std::sort here and never allocates.
+// Every comparator a plan runs is a width-2 compare-exchange: width-2 gates
+// directly, wider gates through the plan's compile-time compare-exchange
+// expansion (execution_plan.h). The walk calls the kernel in its inner
+// loop over the lane dimension; with SoA rows it compiles to straight-line
+// select/blend code the vectorizer handles across the whole block, and a
+// single vector is the same loop at one lane.
 //
-// Count kernels mirror the comparator kernels under the Figure 2
+// The count kernel mirrors the comparator kernel under the Figure 2
 // isomorphism: a balancer's quiescent transfer function is
 // out[i] = ceil((total - i) / p), which for p == 2 reduces to the branchless
-// pair (ceil(total/2), floor(total/2)).
+// pair (ceil(total/2), floor(total/2)). Wider balancers are irreducible and
+// run in the walk itself as sum-then-redistribute over the lanes.
 #pragma once
-
-#include <cstddef>
-#include <span>
 
 #include "seq/sequence_props.h"
 
@@ -39,33 +34,6 @@ inline void pair_count_kernel(Count& hi, Count& lo) {
   const Count total = hi + lo;
   hi = (total + 1) >> 1;
   lo = total >> 1;
-}
-
-/// Sorts `vals` descending in place (insertion sort; vals.size() is a gate
-/// width, i.e. small and bounded).
-template <typename T>
-inline void small_sort_descending(std::span<T> vals) {
-  for (std::size_t i = 1; i < vals.size(); ++i) {
-    T v = vals[i];
-    std::size_t j = i;
-    while (j > 0 && vals[j - 1] < v) {
-      vals[j] = vals[j - 1];
-      --j;
-    }
-    vals[j] = v;
-  }
-}
-
-/// Width-p balancer on quiescent counts: given the gate's input counts in
-/// `vals`, overwrites slot i with ceil((total - i) / p).
-inline void wide_count_kernel(std::span<Count> vals) {
-  Count total = 0;
-  for (const Count c : vals) total += c;
-  const auto p = static_cast<Count>(vals.size());
-  for (std::size_t i = 0; i < vals.size(); ++i) {
-    const Count num = total - static_cast<Count>(i) + p - 1;
-    vals[i] = num >= 0 ? num / p : 0;
-  }
 }
 
 }  // namespace scn::engine

@@ -50,7 +50,6 @@ struct Key {
   PassLevel level = PassLevel::kNone;
   Semantics semantics = Semantics::kComparator;
   std::uint64_t width_cap = 0;
-  EngineBackend backend = EngineBackend::kAuto;
 
   bool operator==(const Key&) const = default;
 };
@@ -63,7 +62,6 @@ struct KeyHash {
     fnv::mix(h, static_cast<std::uint64_t>(k.level));
     fnv::mix(h, static_cast<std::uint64_t>(k.semantics));
     fnv::mix(h, k.width_cap);
-    fnv::mix(h, static_cast<std::uint64_t>(k.backend));
     return static_cast<std::size_t>(h);
   }
 };
@@ -139,8 +137,7 @@ PlanCache::PlanCache(std::size_t capacity, const char* metric_prefix,
 PlanCache::~PlanCache() = default;
 
 CachedPlan PlanCache::compiled(const Network& net, PassLevel level,
-                               const PassOptions& opts,
-                               EngineBackend backend) {
+                               const PassOptions& opts) {
   Key key;
   key.hash = structural_hash(net);
   key.width = net.width();
@@ -148,13 +145,12 @@ CachedPlan PlanCache::compiled(const Network& net, PassLevel level,
   key.level = level;
   key.semantics = opts.semantics;
   key.width_cap = opts.zero_one_width_cap;
-  key.backend = backend;
 
   const std::lock_guard<std::mutex> lock(impl_->mu);
   if (const auto it = impl_->index.find(key); it != impl_->index.end()) {
     impl_->lru.splice(impl_->lru.begin(), impl_->lru, it->second);
     impl_->hits->add(1);
-    return {it->second->plan, it->second->passes, backend, true};
+    return {it->second->plan, it->second->passes, true};
   }
 
   // Miss: optimize + lower under the lock. Compilation is O(gates +
@@ -178,7 +174,7 @@ CachedPlan PlanCache::compiled(const Network& net, PassLevel level,
   }
   impl_->publish_entries();
   const Entry& front = impl_->lru.front();
-  return {front.plan, front.passes, backend, false};
+  return {front.plan, front.passes, false};
 }
 
 PlanCacheStats PlanCache::stats() const {

@@ -20,7 +20,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/cost_model.h"
 #include "engine/execution_plan.h"
 #include "net/network.h"
 #include "opt/pass.h"
@@ -44,17 +43,11 @@ struct PlanCacheStats {
 };
 
 /// A cached compilation: the plan, the pass provenance that produced it,
-/// the backend request the entry is keyed under, and whether this
-/// particular lookup hit. Plans are shared_ptr so eviction never
-/// invalidates a caller still holding one.
+/// and whether this particular lookup hit. Plans are shared_ptr so
+/// eviction never invalidates a caller still holding one.
 struct CachedPlan {
   std::shared_ptr<const ExecutionPlan> plan;
   std::shared_ptr<const std::vector<PassStats>> passes;
-  /// The EngineBackend this entry was compiled (keyed) for. Call sites
-  /// hand it back to the engine dispatcher so a runtime configured for a
-  /// specific backend runs its cached plans on that backend; kAuto defers
-  /// to select_backend() at dispatch time.
-  EngineBackend backend = EngineBackend::kAuto;
   bool hit = false;
 };
 
@@ -79,13 +72,11 @@ class PlanCache {
   PlanCache& operator=(const PlanCache&) = delete;
 
   /// Returns the compiled plan for `net` after the `level` pipeline under
-  /// `opts`, compiling (and caching) on miss. Thread-safe. Entries are
-  /// additionally keyed on the backend request, so two runtimes pinning
-  /// different backends for the same network never alias (a future
-  /// backend-specialized lowering slots in without a key change).
-  [[nodiscard]] CachedPlan compiled(
-      const Network& net, PassLevel level, const PassOptions& opts = {},
-      EngineBackend backend = EngineBackend::kAuto);
+  /// `opts`, compiling (and caching) on miss. Thread-safe. The plan is the
+  /// same under every engine backend, so callers pick the backend at
+  /// dispatch time (Runtime::backend()), not here.
+  [[nodiscard]] CachedPlan compiled(const Network& net, PassLevel level,
+                                    const PassOptions& opts = {});
 
   [[nodiscard]] PlanCacheStats stats() const;
 

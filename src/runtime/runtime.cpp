@@ -87,12 +87,12 @@ PassLevel Runtime::pass_level() const { return impl_->pass_level; }
 EngineBackend Runtime::backend() const { return impl_->backend; }
 
 CachedPlan Runtime::compiled(const Network& net, const PassOptions& opts) {
-  return impl_->plans->compiled(net, impl_->pass_level, opts, impl_->backend);
+  return impl_->plans->compiled(net, impl_->pass_level, opts);
 }
 
 CachedPlan Runtime::compiled(const Network& net, PassLevel level,
                              const PassOptions& opts) {
-  return impl_->plans->compiled(net, level, opts, impl_->backend);
+  return impl_->plans->compiled(net, level, opts);
 }
 
 void Runtime::clear_caches() {

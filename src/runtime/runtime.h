@@ -73,9 +73,9 @@ class Runtime {
     /// Whether the module cache interns templates (false => the imperative
     /// construction path). nullopt => SCNET_MODULE_CACHE != "0".
     std::optional<bool> module_cache;
-    /// Engine backend request this runtime's compiled plans carry (see
-    /// engine/backend.h). nullopt => SCNET_BACKEND (else kAuto), read once
-    /// at construction like the other environment defaults.
+    /// Engine backend request this runtime's plans are dispatched under
+    /// (see engine/backend.h). nullopt => SCNET_BACKEND (else kAuto), read
+    /// once at construction like the other environment defaults.
     std::optional<EngineBackend> backend;
   };
 
@@ -106,9 +106,10 @@ class Runtime {
   /// construction from Options::pass_level / SCNET_DEFAULT_PASSES).
   [[nodiscard]] PassLevel pass_level() const;
 
-  /// The engine backend request compiled() keys its plans on (resolved
-  /// once at construction from Options::backend / SCNET_BACKEND). kAuto
-  /// defers the concrete choice to the engine dispatcher per call.
+  /// The engine backend request this runtime's callers hand the engine
+  /// dispatcher (resolved once at construction from Options::backend /
+  /// SCNET_BACKEND). kAuto defers the concrete choice to the dispatcher
+  /// per call.
   [[nodiscard]] EngineBackend backend() const;
 
   /// Compiles (or fetches) the plan for `net` through THIS runtime's plan

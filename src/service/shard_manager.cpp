@@ -298,7 +298,7 @@ ShardManager::LinearityReport ShardManager::verify_linearity() const {
         in[w] = static_cast<Count>(ceil_share(routed, w, in.size()));
       }
       const std::vector<Count> engine_counts =
-          engine::counts_output(*cached.plan, in, cached.backend);
+          engine::counts_output(*cached.plan, in, shard.runtime.backend());
       if (engine_counts != counts) {
         report.detail = "shard " + std::to_string(j) +
                         " engine cross-check mismatch: concurrent " +

@@ -18,7 +18,7 @@ std::vector<Count> network_sort_ascending(const Network& net,
   const CachedPlan cached =
       rt.compiled(net, PassOptions{.semantics = Semantics::kComparator});
   std::vector<Count> out =
-      engine::sorted_output(*cached.plan, values, cached.backend);
+      engine::sorted_output(*cached.plan, values, rt.backend());
   std::reverse(out.begin(), out.end());
   return out;
 }

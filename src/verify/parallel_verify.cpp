@@ -52,7 +52,7 @@ CountingVerdict verify_counting_parallel(const Network& net,
       // under `auto`, and a runtime pinned to a backend gets that backend
       // (bit-identical either way).
       std::vector<Count> out =
-          engine::counts_output(plan, in, cached.backend);
+          engine::counts_output(plan, in, rt.backend());
       ++local_checked;
       if (!has_step_property(out)) {
         const std::lock_guard<std::mutex> lock(mu);

@@ -1,7 +1,7 @@
 // The backend registry and its dispatch policy: name/parse round-trips,
 // select_backend() threshold behavior, kAuto resolution against real
-// plans, and the Runtime/plan-cache plumbing that carries a backend
-// request from SCNET_BACKEND / Runtime::Options to the dispatcher.
+// plans, and the Runtime plumbing that carries a backend request from
+// SCNET_BACKEND / Runtime::Options to the dispatcher.
 // Bit-identity of the backends themselves is pinned by the randomized
 // sweep in engine_cross_check_test.cpp.
 #include <gtest/gtest.h>
@@ -123,28 +123,7 @@ TEST(BackendPlumbing, RuntimeOptionCarriesIntoCachedPlans) {
   EXPECT_EQ(rt.backend(), EngineBackend::kBatch);
   const Network net = make_k_network({2, 2}, rt);
   const CachedPlan cached = rt.compiled(net);
-  EXPECT_EQ(cached.backend, EngineBackend::kBatch);
-}
-
-TEST(BackendPlumbing, PlanCacheKeysOnBackend) {
-  // Same network compiled under two backend requests must occupy two cache
-  // entries: the request is part of the plan's identity (a cached entry is
-  // handed back with its backend attached).
-  Runtime rt;
-  const Network net = make_k_network({2, 2}, rt);
-  PlanCache& cache = rt.plan_cache();
-  const CachedPlan a =
-      cache.compiled(net, rt.pass_level(), {}, EngineBackend::kScalar);
-  const CachedPlan b =
-      cache.compiled(net, rt.pass_level(), {}, EngineBackend::kThreaded);
-  EXPECT_FALSE(a.hit);
-  EXPECT_FALSE(b.hit) << "distinct backends must not collide in the cache";
-  EXPECT_EQ(a.backend, EngineBackend::kScalar);
-  EXPECT_EQ(b.backend, EngineBackend::kThreaded);
-  const CachedPlan again =
-      cache.compiled(net, rt.pass_level(), {}, EngineBackend::kScalar);
-  EXPECT_TRUE(again.hit);
-  EXPECT_EQ(again.backend, EngineBackend::kScalar);
+  ASSERT_NE(cached.plan, nullptr);
 }
 
 TEST(BackendPlumbing, EnvironmentVariableSetsTheDefault) {

@@ -15,6 +15,7 @@
 
 #include "baseline/bitonic.h"
 #include "baseline/periodic.h"
+#include "core/family.h"
 #include "core/k_network.h"
 #include "core/l_network.h"
 #include "core/r_network.h"
@@ -41,6 +42,9 @@ std::vector<Network> grid() {
   nets.push_back(make_r_network(4, 3));
   nets.push_back(make_bitonic_network(3));
   nets.push_back(make_periodic_network(3));
+  // Sorter(64)'s network: its many wide gates run as compare-exchange
+  // expansions on a single vector.
+  nets.push_back(make_network_for_width(64, 8, NetworkKind::kL));
   return nets;
 }
 
@@ -262,8 +266,8 @@ TEST_P(ThreadedStriping, BitIdenticalToSerialBatchAndInterpreters) {
     for (const std::size_t grain : {1u, 3u, 64u}) {
       engine::Batch<Count> striped_sort = packed;
       engine::Batch<Count> striped_count = packed;
-      run_plan_batch(plan, striped_sort, pool, grain);
-      run_plan_counts_batch(plan, striped_count, pool, grain);
+      run_plan_batch(plan, striped_sort, &pool, grain);
+      run_plan_counts_batch(plan, striped_count, &pool, grain);
       const std::size_t cells = net.width() * lanes;
       ASSERT_TRUE(std::equal(striped_sort.data(),
                              striped_sort.data() + cells, serial_sort.data()))

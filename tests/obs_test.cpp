@@ -1,19 +1,28 @@
 // Observability layer: registry counters/histograms under concurrent
-// updates, snapshot consistency, Chrome trace JSON structure, and the
-// ConcurrentNetwork visit probe against the analytical contention model.
+// updates, snapshot consistency, Chrome trace JSON structure, the engine's
+// per-layer spans, and the ConcurrentNetwork visit probe against the
+// analytical contention model.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <numeric>
+#include <random>
+#include <regex>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/k_network.h"
+#include "core/l_network.h"
+#include "engine/batch_engine.h"
+#include "engine/execution_plan.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "perf/contention_model.h"
 #include "perf/thread_pool.h"
+#include "seq/generators.h"
 #include "sim/concurrent_sim.h"
 
 namespace scn {
@@ -298,6 +307,139 @@ TEST(Trace, TraceSessionReportsWriteFailure) {
                         "scnet_obs_no_such_dir/trace.json");
   EXPECT_FALSE(bad.finish());
   EXPECT_FALSE(bad.ok());
+}
+
+// -------------------------------------------------------- engine spans
+
+struct ExportedEvent {
+  std::string name;
+  std::string category;
+  double ts_us = 0;
+  double dur_us = 0;
+  std::size_t lanes = 0;  // the "lanes" arg, 0 when absent
+};
+
+// Parses the events chrome_trace_json() writes (flat args objects only).
+std::vector<ExportedEvent> exported_events(const std::string& json) {
+  static const std::regex event(
+      R"re(\{"name":"([^"]*)","cat":"([^"]*)","ph":"X","pid":1,"tid":\d+,)re"
+      R"re("ts":([0-9.]+),"dur":([0-9.]+)(,"args":\{[^}]*\})?\})re");
+  static const std::regex lanes(R"re("lanes":(\d+))re");
+  std::vector<ExportedEvent> out;
+  for (auto it = std::sregex_iterator(json.begin(), json.end(), event);
+       it != std::sregex_iterator(); ++it) {
+    ExportedEvent ev;
+    ev.name = (*it)[1];
+    ev.category = (*it)[2];
+    ev.ts_us = std::stod((*it)[3]);
+    ev.dur_us = std::stod((*it)[4]);
+    const std::string args = (*it)[5];
+    std::smatch m;
+    if (std::regex_search(args, m, lanes)) ev.lanes = std::stoul(m[1]);
+    out.push_back(ev);
+  }
+  return out;
+}
+
+std::vector<ExportedEvent> with_category(const std::vector<ExportedEvent>& all,
+                                         const std::string& category) {
+  std::vector<ExportedEvent> out;
+  for (const ExportedEvent& ev : all) {
+    if (ev.category == category) out.push_back(ev);
+  }
+  return out;
+}
+
+// Runs `fn` with the shared tracer recording; returns the exported events.
+template <typename Fn>
+std::vector<ExportedEvent> traced(Fn fn) {
+  obs::Tracer& tracer = obs::Tracer::shared();
+  tracer.start();
+  fn();
+  tracer.stop();
+  std::vector<ExportedEvent> events =
+      exported_events(tracer.chrome_trace_json());
+  tracer.clear();
+  return events;
+}
+
+TEST(Trace, EngineLayerSpansTimeTheBlockedWalk) {
+  if (!obs::compiled_in()) GTEST_SKIP() << "engine spans compiled out";
+  const ExecutionPlan plan = compile_plan(make_l_network({3, 2, 2}));
+  const std::size_t depth = plan.depth();
+  constexpr std::size_t kLanes = 600;  // three 256-lane execution blocks
+  std::mt19937_64 rng(11);
+  std::vector<std::vector<Count>> inputs;
+  for (std::size_t j = 0; j < kLanes; ++j) {
+    inputs.push_back(random_count_vector(rng, plan.width(),
+                                         1 + static_cast<Count>(j % 97)));
+  }
+  const auto sorted = plan_sort_batch(plan, inputs);
+  const auto counted = plan_count_batch(plan, inputs);
+  // Exported timestamps are rounded to 1 ns; allow that per summed value.
+  const double rounding_us = 0.0005 * static_cast<double>(depth + 1);
+
+  // Serial: one event per layer, named in order, each covering every lane,
+  // laid end to end inside the enclosing call's span.
+  for (const bool sort : {true, false}) {
+    const auto events = traced([&] {
+      if (sort) {
+        EXPECT_EQ(plan_sort_batch(plan, inputs), sorted);
+      } else {
+        EXPECT_EQ(plan_count_batch(plan, inputs), counted);
+      }
+    });
+    const auto layers = with_category(events, "engine.layer");
+    ASSERT_EQ(layers.size(), depth) << (sort ? "sort" : "count");
+    double layer_sum = 0;
+    for (std::size_t i = 0; i < depth; ++i) {
+      EXPECT_EQ(layers[i].name, "layer " + std::to_string(i));
+      EXPECT_EQ(layers[i].lanes, kLanes);
+      if (i > 0) {
+        EXPECT_NEAR(layers[i].ts_us, layers[i - 1].ts_us + layers[i - 1].dur_us,
+                    0.002);
+      }
+      layer_sum += layers[i].dur_us;
+    }
+    const std::string call = sort ? "plan_sort_batch" : "plan_count_batch";
+    bool found = false;
+    for (const ExportedEvent& ev : with_category(events, "engine")) {
+      if (ev.name != call) continue;
+      found = true;
+      EXPECT_GE(layers.front().ts_us, ev.ts_us);
+      EXPECT_LE(layer_sum, ev.dur_us + rounding_us);
+    }
+    EXPECT_TRUE(found) << call;
+  }
+
+  // Pool: one event per layer per stripe; each layer's stripes cover every
+  // lane exactly once.
+  ThreadPool pool(3);
+  const std::size_t stripes = 3;  // min(pool size, ceil(600 / 64))
+  for (const bool sort : {true, false}) {
+    const auto events = traced([&] {
+      if (sort) {
+        EXPECT_EQ(plan_sort_batch(plan, inputs, &pool), sorted);
+      } else {
+        EXPECT_EQ(plan_count_batch(plan, inputs, &pool), counted);
+      }
+    });
+    const auto layers = with_category(events, "engine.layer");
+    ASSERT_EQ(layers.size(), depth * stripes) << (sort ? "sort" : "count");
+    std::map<std::string, std::size_t> lanes_by_layer;
+    for (const ExportedEvent& ev : layers) lanes_by_layer[ev.name] += ev.lanes;
+    ASSERT_EQ(lanes_by_layer.size(), depth);
+    for (const auto& [name, lanes] : lanes_by_layer) {
+      EXPECT_EQ(lanes, kLanes) << name;
+    }
+  }
+
+  // One vector is the same walk at one lane.
+  std::vector<Count> values = inputs.front();
+  const auto events = traced([&] { run_plan(plan, values); });
+  const auto layers = with_category(events, "engine.layer");
+  ASSERT_EQ(layers.size(), depth);
+  for (const ExportedEvent& ev : layers) EXPECT_EQ(ev.lanes, 1u);
 }
 
 // ---------------------------------------------------------- visit probe
