@@ -11,20 +11,12 @@
 #include <functional>
 #include <random>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "net/network.h"
 #include "seq/generators.h"
 
 namespace scn::bench {
-
-/// True on hosts where wall-clock comparisons between concurrent
-/// implementations are meaningless (everything is time-sliced onto one
-/// core). Parallelism-sensitive gates go informational here.
-inline bool single_core_host() {
-  return std::thread::hardware_concurrency() <= 1;
-}
 
 /// Wall time of one call, in seconds.
 inline double time_once(const std::function<void()>& fn) {

@@ -30,7 +30,7 @@
 //                                            run the pass pipeline; stats to
 //                                            stderr, optimized net to stdout
 //   scnet_cli saturate [--shards N] [--threads N] [--tokens N]
-//                      [--schedule KIND] [--factors 2x2x...] [--sync]
+//                      [--schedule KIND] [--factors 2x2x...]
 //                      [--seed S]          drive the sharded counting
 //                                            service and verify counter
 //                                            linearity at quiescence
@@ -46,6 +46,7 @@
 //                        module/plan caches and metric namespace) instead of
 //                        the process-wide Runtime::shared()
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -54,6 +55,7 @@
 #include <optional>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 
@@ -115,7 +117,7 @@ int usage() {
                "[--semantics={comparator|balancer}] < net.scnet\n"
                "  scnet_cli saturate [--shards N] [--threads N] [--tokens N]"
                " [--schedule {uniform|bursty|skewed|adversarial}]"
-               " [--factors p0xp1x...] [--sync] [--seed S]\n"
+               " [--factors p0xp1x...] [--seed S]\n"
                "global options (any command):\n"
                "  --metrics            dump the metrics registry to stderr\n"
                "  --trace <out.json>   write a chrome://tracing span file\n"
@@ -431,29 +433,50 @@ int cmd_optimize(Runtime& rt, const Network& net, int argc, char** argv) {
   return 0;
 }
 
+// A whole unsigned decimal (digits only: no sign, no suffix, no overflow).
+std::optional<std::uint64_t> parse_whole(std::string_view text) {
+  std::uint64_t value = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (text.empty() || ec != std::errc() || end != text.data() + text.size()) {
+    return std::nullopt;
+  }
+  return value;
+}
+
 // Drives the sharded counting service (src/service/) and verifies the
-// counter afterwards. The pinned report lines are "step property:" and
+// counter afterwards: producer threads call next_on() under the chosen
+// schedule. The pinned report lines are "step property:" and
 // "linearity:" (cli_test locks them); exit is non-zero when either fails.
-// Async mode (the default) pushes increments through the TokenFrontEnd so
-// the service.enqueued/drained/batches metrics are exercised; --sync calls
-// next_on() inline under the chosen schedule instead. Both end with one
-// rebalance() so the elasticity path and its counter run too.
 int cmd_saturate(Runtime& rt, int argc, char** argv) {
+  constexpr std::uint64_t kMaxParallel = 1024;  // --shards / --threads cap
   ShardManager::Options shard_opts;
   shard_opts.shards = 2;
-  shard_opts.visit_probe = true;  // feed rebalance() measured fractions
   SaturationOptions sat;
   sat.threads = 4;
   sat.tokens_per_thread = 2000;
-  sat.async = true;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--shards" && i + 1 < argc) {
-      shard_opts.shards = std::strtoul(argv[++i], nullptr, 10);
-    } else if (arg == "--threads" && i + 1 < argc) {
-      sat.threads = std::strtoul(argv[++i], nullptr, 10);
-    } else if (arg == "--tokens" && i + 1 < argc) {
-      sat.tokens_per_thread = std::strtoull(argv[++i], nullptr, 10);
+    const bool numeric = arg == "--shards" || arg == "--threads" ||
+                         arg == "--tokens" || arg == "--seed";
+    if (numeric && i + 1 < argc) {
+      const std::optional<std::uint64_t> value = parse_whole(argv[++i]);
+      const bool bounded = arg == "--shards" || arg == "--threads";
+      if (!value || (bounded && (*value == 0 || *value > kMaxParallel))) {
+        std::fprintf(stderr, "saturate needs %s %s, got '%s'\n", arg.c_str(),
+                     bounded ? "in [1, 1024]" : "as a whole unsigned number",
+                     argv[i]);
+        return 2;
+      }
+      if (arg == "--shards") {
+        shard_opts.shards = static_cast<std::size_t>(*value);
+      } else if (arg == "--threads") {
+        sat.threads = static_cast<std::size_t>(*value);
+      } else if (arg == "--tokens") {
+        sat.tokens_per_thread = *value;
+      } else {
+        sat.schedule.seed = *value;
+      }
     } else if (arg == "--factors" && i + 1 < argc) {
       shard_opts.factors = parse_factors(argv[++i]);
     } else if (arg == "--schedule" && i + 1 < argc) {
@@ -463,32 +486,29 @@ int cmd_saturate(Runtime& rt, int argc, char** argv) {
         return 2;
       }
       sat.schedule.kind = *kind;
-    } else if (arg == "--seed" && i + 1 < argc) {
-      sat.schedule.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--sync") {
-      sat.async = false;
     } else {
       std::fprintf(stderr, "unknown saturate option %s\n", arg.c_str());
       return 2;
     }
   }
-  if (shard_opts.shards == 0 || sat.threads == 0) {
-    std::fprintf(stderr, "saturate needs --shards >= 1 and --threads >= 1\n");
+
+  std::optional<ShardManager> built;
+  try {
+    built.emplace(shard_opts, rt);
+  } catch (const std::invalid_argument& e) {  // e.g. a factor below 2
+    std::fprintf(stderr, "saturate needs valid --factors: %s\n", e.what());
     return 2;
   }
-
-  ShardManager service(shard_opts, rt);
-  const SaturationResult res = run_saturation(service, sat, rt);
+  ShardManager& service = *built;
+  const SaturationResult res = run_saturation(service, sat);
   std::printf(
-      "saturate: shards %zu (active %zu) width %zu threads %zu tokens "
-      "%llu schedule %s mode %s\n",
-      service.shard_count(), service.active_shards(), service.shard_width(),
-      sat.threads,
+      "saturate: shards %zu width %zu threads %zu tokens %llu schedule %s\n",
+      service.shard_count(), service.shard_width(), sat.threads,
       static_cast<unsigned long long>(res.tokens),
-      to_string(sat.schedule.kind), sat.async ? "async" : "sync");
+      to_string(sat.schedule.kind));
 
   bool step_ok = true;
-  for (std::size_t j = 0; j < service.active_shards(); ++j) {
+  for (std::size_t j = 0; j < service.shard_count(); ++j) {
     step_ok = step_ok && has_step_property(service.shard_output_counts(j));
   }
   std::printf("step property: %s\n", step_ok ? "PASS" : "FAIL");
@@ -496,11 +516,6 @@ int cmd_saturate(Runtime& rt, int argc, char** argv) {
               res.linearity.ok ? "" : "  ",
               res.linearity.ok ? "" : res.linearity.detail.c_str());
   std::printf("throughput: %.0f tokens/s\n", res.tokens_per_second());
-
-  const ShardManager::RebalanceDecision d = service.rebalance();
-  std::printf("rebalance: active %zu -> %zu (epoch %llu tokens)\n",
-              d.active_before, d.active_after,
-              static_cast<unsigned long long>(d.epoch_tokens));
   return (step_ok && res.linearity.ok) ? 0 : 1;
 }
 

@@ -8,7 +8,6 @@
 #include "engine/backend.h"
 #include "opt/plan_cache.h"
 #include "runtime/runtime.h"
-#include "service/front_end.h"
 #include "service/shard_manager.h"
 
 namespace scn {
@@ -117,19 +116,11 @@ CountingService::CountingService(const Options& options, Runtime& rt)
     : shards_(std::make_unique<ShardManager>(
           ShardManager::Options{.shards = options.shards,
                                 .factors = options.factors},
-          rt)),
-      front_(std::make_unique<TokenFrontEnd>(
-          *shards_, rt,
-          TokenFrontEnd::Options{.queue_capacity = options.queue_capacity,
-                                 .max_batch = options.max_batch})) {}
+          rt)) {}
 
 CountingService::~CountingService() = default;
 
 std::uint64_t CountingService::next() { return shards_->next(); }
-
-void CountingService::increment(std::uint32_t n) { front_->enqueue(n); }
-
-void CountingService::drain() { front_->drain(); }
 
 std::uint64_t CountingService::total() const { return shards_->total(); }
 

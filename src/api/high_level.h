@@ -144,24 +144,19 @@ class Counter {
   std::unique_ptr<NetworkCounter> impl_;  // owns its network copy
 };
 
-class ShardManager;   // service/shard_manager.h
-class TokenFrontEnd;  // service/front_end.h
+class ShardManager;  // service/shard_manager.h
 
 /// One-call handle over the sharded counting service (src/service/): a
-/// ShardManager of independent counting-network shards behind a single
-/// counter facade, plus a TokenFrontEnd for fire-and-forget increments.
-/// next() returns a globally unique value inline; increment() queues
-/// anonymous increments through the batching front end (bounded queue =>
-/// backpressure); drain() settles everything so total() and the shard
-/// accessors are quiescently meaningful. See docs/service.md for the value
-/// composition scheme and the quiescence contract.
+/// fixed ShardManager of independent counting-network shards behind a
+/// single counter facade. next() returns a globally unique value inline;
+/// once calls have stopped, the values handed out are exactly
+/// {0 .. total() - 1}. See docs/service.md for the value composition
+/// scheme and the quiescence contract.
 class CountingService {
  public:
   struct Options {
     std::size_t shards = 4;                     ///< shard networks
     std::vector<std::size_t> factors = {2, 2, 2, 2};  ///< per-shard K(...)
-    std::size_t queue_capacity = 1024;          ///< front-end slots
-    std::size_t max_batch = 128;                ///< slots per drain batch
   };
 
   CountingService();
@@ -171,22 +166,15 @@ class CountingService {
   CountingService(const CountingService&) = delete;
   CountingService& operator=(const CountingService&) = delete;
 
-  /// The next globally unique counter value (synchronous path).
+  /// The next globally unique counter value.
   std::uint64_t next();
-  /// Queues `n` anonymous increments (asynchronous path; blocks when the
-  /// front end's queue is full).
-  void increment(std::uint32_t n = 1);
-  /// Drains the front end and quiesces the shards.
-  void drain();
-  /// Values handed out so far (meaningful after drain()).
+  /// Values handed out so far.
   [[nodiscard]] std::uint64_t total() const;
 
   [[nodiscard]] ShardManager& shards() { return *shards_; }
-  [[nodiscard]] TokenFrontEnd& front_end() { return *front_; }
 
  private:
   std::unique_ptr<ShardManager> shards_;
-  std::unique_ptr<TokenFrontEnd> front_;
 };
 
 }  // namespace scn

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <chrono>
 #include <thread>
 
@@ -14,7 +13,7 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double run_sync(ShardManager& service, const SaturationOptions& options,
+double drive_producers(ShardManager& service, const SaturationOptions& options,
                 std::vector<std::uint64_t>* values) {
   const auto width = static_cast<std::uint32_t>(service.shard_width());
   std::atomic<bool> go{false};
@@ -48,52 +47,16 @@ double run_sync(ShardManager& service, const SaturationOptions& options,
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
-double run_async(ShardManager& service, const SaturationOptions& options,
-                 Runtime& rt) {
-  TokenFrontEnd front(service, rt, options.front_end);
-  const std::uint32_t chunk =
-      options.enqueue_chunk == 0 ? 1 : options.enqueue_chunk;
-  std::atomic<bool> go{false};
-  std::vector<std::thread> pool;
-  pool.reserve(options.threads);
-  for (std::size_t t = 0; t < options.threads; ++t) {
-    pool.emplace_back([&] {
-      while (!go.load(std::memory_order_acquire)) {
-        std::this_thread::yield();
-      }
-      std::uint64_t left = options.tokens_per_thread;
-      while (left > 0) {
-        const auto n = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(left, chunk));
-        front.enqueue(n);
-        left -= n;
-      }
-    });
-  }
-  const auto t0 = Clock::now();
-  go.store(true, std::memory_order_release);
-  for (auto& th : pool) th.join();
-  front.drain();
-  const auto t1 = Clock::now();
-  assert(front.drained() == front.enqueued());
-  return std::chrono::duration<double>(t1 - t0).count();
-}
-
 }  // namespace
 
 SaturationResult run_saturation(ShardManager& service,
-                                const SaturationOptions& options,
-                                Runtime& rt) {
+                                const SaturationOptions& options) {
   SCNET_TRACE_SPAN("service", "run_saturation");
   SaturationResult result;
   result.tokens = options.threads * options.tokens_per_thread;
   SCNET_COUNTER_ADD("service.saturation.tokens", result.tokens);
-  if (options.async) {
-    result.seconds = run_async(service, options, rt);
-  } else {
-    result.seconds = run_sync(
-        service, options, options.collect_values ? &result.values : nullptr);
-  }
+  result.seconds = drive_producers(
+      service, options, options.collect_values ? &result.values : nullptr);
   service.quiesce();
   result.linearity = service.verify_linearity();
   return result;

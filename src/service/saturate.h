@@ -1,23 +1,19 @@
-// The sharded counting service, part 3: the saturation harness.
+// The sharded counting service: the saturation harness.
 //
 // One driver, used by bench/bench_service.cpp, the `scnet_cli saturate`
 // command, and the service tests, so "drive millions of increments under a
 // schedule and verify the counter afterwards" means the same thing
-// everywhere. Synchronous mode spawns producer threads that call
-// ShardManager::next_on() with wires from a WireSchedule (uniform / bursty
-// / skewed / adversarial, reproducible per seed); async mode pushes the
-// same token volume through a TokenFrontEnd and drains it. Both end at
-// quiescence and report ShardManager::verify_linearity() — every value in
-// the epoch handed out exactly once, each shard's outputs the exact step
-// sequence — optionally cross-checked against the values producers
-// actually observed.
+// everywhere. It spawns producer threads that call ShardManager::next_on()
+// with wires from a WireSchedule (uniform / bursty / skewed / adversarial,
+// reproducible per seed), ends at quiescence and reports
+// ShardManager::verify_linearity() — every value handed out exactly once,
+// each shard's outputs the exact step sequence — optionally cross-checked
+// against the values producers actually observed.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "runtime/runtime.h"
-#include "service/front_end.h"
 #include "service/shard_manager.h"
 #include "sim/schedule.h"
 
@@ -27,16 +23,9 @@ struct SaturationOptions {
   std::size_t threads = 4;
   std::uint64_t tokens_per_thread = 10000;
   ScheduleParams schedule{};
-  /// Collect every value handed out (synchronous mode only) so the caller
-  /// can assert sorted(values) == {base .. base + tokens - 1} directly.
+  /// Collect every value handed out so the caller can assert
+  /// sorted(values) == {0 .. tokens - 1} directly.
   bool collect_values = false;
-  /// Drive through a TokenFrontEnd instead of calling next_on() inline.
-  /// Entry wires then come from the drain path's round-robin cursor (the
-  /// schedule still paces which producer enqueues what).
-  bool async = false;
-  /// Async mode: increments per enqueue() call.
-  std::uint32_t enqueue_chunk = 8;
-  TokenFrontEnd::Options front_end{};
 };
 
 struct SaturationResult {
@@ -51,10 +40,8 @@ struct SaturationResult {
 };
 
 /// Drives `threads * tokens_per_thread` increments into `service` under the
-/// configured schedule, quiesces, and verifies linearity. `rt` supplies the
-/// front end's drain pool in async mode (pass the service's home runtime).
+/// configured schedule, quiesces, and verifies linearity.
 [[nodiscard]] SaturationResult run_saturation(ShardManager& service,
-                                              const SaturationOptions& options,
-                                              Runtime& rt = Runtime::shared());
+                                              const SaturationOptions& options);
 
 }  // namespace scn

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <mutex>
-#include <random>
 #include <stdexcept>
 #include <thread>
 
@@ -11,7 +10,6 @@
 #include "engine/backend.h"
 #include "obs/metrics.h"
 #include "opt/plan_cache.h"
-#include "perf/contention_model.h"
 #include "verify/checkers.h"
 
 namespace scn {
@@ -27,11 +25,11 @@ struct WireCursor {
 thread_local WireCursor tls_cursor;
 
 std::uint64_t ceil_share(std::uint64_t total, std::size_t index,
-                         std::size_t active) {
-  // Tokens shard `index` receives out of `total` round-robin dispatches
-  // over `active` shards: ceil((total - index) / active).
+                         std::size_t parts) {
+  // Tokens part `index` receives out of `total` round-robin dispatches
+  // over `parts` parts: ceil((total - index) / parts).
   if (total <= index) return 0;
-  return (total - index + active - 1) / active;
+  return (total - index + parts - 1) / parts;
 }
 
 }  // namespace
@@ -43,23 +41,19 @@ struct ShardManager::Shard {
                                      [this] { return tokens(); });
   }
 
-  /// Tokens routed this epoch: every token leaves through exactly one
-  /// output, so the exit counts already count them.
-  [[nodiscard]] std::uint64_t epoch_tokens() const {
+  /// Tokens routed: every token leaves through exactly one output, so the
+  /// exit counts already count them.
+  [[nodiscard]] std::uint64_t tokens() const {
     std::uint64_t sum = 0;
     for (std::size_t i = 0; i < network.width(); ++i) {
       sum += static_cast<std::uint64_t>(cnet.exits(i));
     }
     return sum;
   }
-  [[nodiscard]] std::uint64_t tokens() const {
-    return closed_tokens.load(std::memory_order_relaxed) + epoch_tokens();
-  }
 
   Runtime runtime;          // private tenant: own caches, metrics, pool
   Network network;          // owned storage — cnet references it
   ConcurrentNetwork cnet;
-  std::atomic<std::uint64_t> closed_tokens{0};  // routed in closed epochs
 };
 
 // The home registry's token gauges. A registry holds one gauge per name,
@@ -113,9 +107,7 @@ struct ShardManager::HomeLedger {
 };
 
 ShardManager::ShardManager(const Options& options, Runtime& rt)
-    : options_(options),
-      active_(0),
-      rebalance_counter_(&rt.metrics().counter("service.rebalances")) {
+    : options_(options) {
   if (options_.shards == 0) {
     throw std::invalid_argument("ShardManager needs at least one shard");
   }
@@ -124,23 +116,12 @@ ShardManager::ShardManager(const Options& options, Runtime& rt)
       throw std::invalid_argument("shard network factors must be >= 2");
     }
   }
-  // Resolve the dispatch start shard once: explicit option, else one
-  // random draw per manager (NOT per call — the offset must be stable
-  // within an epoch for the residue accounting to hold).
-  offset_ = options_.dispatch_offset.has_value()
-                ? *options_.dispatch_offset
-                : static_cast<std::uint64_t>(std::random_device{}());
   shards_.reserve(options_.shards);
   for (std::size_t j = 0; j < options_.shards; ++j) {
     auto shard = std::make_unique<Shard>(options_.factors);
     if (options_.visit_probe) shard->cnet.enable_visit_probe();
     shards_.push_back(std::move(shard));
   }
-  const std::size_t initial =
-      options_.initial_active == 0
-          ? options_.shards
-          : std::min(options_.initial_active, options_.shards);
-  active_.store(initial, std::memory_order_release);
 
   // Join the home ledger last: once `this` is listed, nothing may throw,
   // or the ledger would keep a pointer the destructor never removes. The
@@ -170,68 +151,36 @@ std::uint64_t ShardManager::next() {
 
 std::uint64_t ShardManager::next_on(Wire wire) {
   in_flight_.increment();
-  // active_ and base_ only move inside rebalance(), which requires
-  // in_flight_ == 0 — both are stable for the duration of this call.
-  const std::size_t active = active_.load(std::memory_order_acquire);
   // Relaxed, like the balancers: each ticket is unique by the RMW's
-  // atomicity alone, and rebalance()/verify_linearity() read the ticket
-  // after the in-flight guard's release/acquire.
+  // atomicity alone, and verify_linearity() reads the ticket after the
+  // in-flight guard's release/acquire.
   const std::uint64_t d = dispatch_.fetch_add(1, std::memory_order_relaxed);
+  const std::size_t shards = shards_.size();
   // The offset rotates which SHARD serves ticket d; the value residue
-  // stays d % active so the composed values still cover exactly
-  // {base .. base + D - 1} (see the header's composition argument).
-  const auto idx = static_cast<std::size_t>(reduce_mod(d + offset_, active));
-  Shard& shard = *shards_[idx];
+  // stays d % S so the composed values still cover exactly {0 .. D - 1}
+  // (see the header's composition argument).
+  Shard& shard = *shards_[static_cast<std::size_t>(
+      reduce_mod(d + options_.dispatch_offset, shards))];
   const auto width = static_cast<std::uint64_t>(shard.network.width());
+  // Reduce the wire as unsigned, like NetworkCounter::next: every Wire
+  // value is a valid entry, and negating INT32_MIN would overflow.
   const ConcurrentNetwork::ExitEvent exit = shard.cnet.traverse(
-      static_cast<Wire>(reduce_mod(
-          static_cast<std::uint64_t>(wire < 0 ? -wire : wire), width)));
+      static_cast<Wire>(reduce_mod(static_cast<std::uint32_t>(wire), width)));
   const std::uint64_t local =
       static_cast<std::uint64_t>(exit.position) + width * exit.ticket;
-  const std::uint64_t value = base_.load(std::memory_order_relaxed) +
-                              local * active + reduce_mod(d, active);
+  const std::uint64_t value = local * shards + reduce_mod(d, shards);
   in_flight_.decrement();
   return value;
 }
 
-void ShardManager::route(std::uint64_t n) {
-  if (n == 0) return;
-  if (!tls_cursor.initialized) {
-    tls_cursor.value = thread_seq_.fetch_add(1, std::memory_order_relaxed);
-    tls_cursor.initialized = true;
-  }
-  in_flight_.increment();
-  const std::size_t active = active_.load(std::memory_order_acquire);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint64_t d = dispatch_.fetch_add(1, std::memory_order_relaxed);
-    Shard& shard =
-        *shards_[static_cast<std::size_t>(reduce_mod(d + offset_, active))];
-    (void)shard.cnet.traverse(static_cast<Wire>(
-        reduce_mod(tls_cursor.value++, shard.network.width())));
-  }
-  in_flight_.decrement();
-}
-
 std::size_t ShardManager::shard_count() const { return shards_.size(); }
-
-std::size_t ShardManager::active_shards() const {
-  return active_.load(std::memory_order_acquire);
-}
 
 std::size_t ShardManager::shard_width() const {
   return shards_.front()->network.width();
 }
 
-std::uint64_t ShardManager::dispatched() const {
-  return dispatch_.load(std::memory_order_acquire);
-}
-
-std::uint64_t ShardManager::epoch_base() const {
-  return base_.load(std::memory_order_acquire);
-}
-
 std::uint64_t ShardManager::total() const {
-  return epoch_base() + dispatched();
+  return dispatch_.load(std::memory_order_acquire);
 }
 
 std::uint64_t ShardManager::shard_tokens(std::size_t shard) const {
@@ -260,31 +209,32 @@ std::vector<std::uint64_t> ShardManager::shard_gate_visits(
 
 ShardManager::LinearityReport ShardManager::verify_linearity() const {
   LinearityReport report;
-  const std::uint64_t total = dispatched();
-  const std::size_t active = active_shards();
-  for (std::size_t j = 0; j < shards_.size(); ++j) {
+  const std::uint64_t dispatched = total();
+  const std::size_t shards = shards_.size();
+  for (std::size_t j = 0; j < shards; ++j) {
     const std::vector<Count> counts = shard_output_counts(j);
     std::uint64_t routed = 0;
     for (const Count c : counts) routed += static_cast<std::uint64_t>(c);
-    // Shard j serves the residue class r with (r + offset) % active == j,
-    // so its round-robin share is the r-th, not the j-th.
+    // Shard j serves the residue class r with (r + offset) % S == j, so
+    // its round-robin share is the r-th, not the j-th.
     const std::size_t residue =
-        (j + active - static_cast<std::size_t>(offset_ % active)) % active;
-    const std::uint64_t expected =
-        j < active ? ceil_share(total, residue, active) : 0;
+        (j + shards -
+         static_cast<std::size_t>(options_.dispatch_offset % shards)) %
+        shards;
+    const std::uint64_t expected = ceil_share(dispatched, residue, shards);
     if (routed != expected) {
       report.detail = "shard " + std::to_string(j) + " routed " +
                       std::to_string(routed) + " tokens, expected " +
                       std::to_string(expected);
       return report;
     }
-    if (j < active && !is_exact_step_output(counts)) {
+    if (!is_exact_step_output(counts)) {
       report.detail = "shard " + std::to_string(j) +
                       " outputs are not the exact step sequence: " +
                       format_sequence(counts);
       return report;
     }
-    if (j < active && routed > 0) {
+    if (routed > 0) {
       // Engine cross-check: propagate the shard's routed total through its
       // compiled plan (balancer semantics) on the shard's own runtime and
       // backend request. A counting network's quiescent output depends only
@@ -308,65 +258,10 @@ ShardManager::LinearityReport ShardManager::verify_linearity() const {
       }
     }
   }
-  // Every active shard holds THE step sequence of its round-robin share,
-  // so the interleaved values are exactly {base .. base + total - 1}.
+  // Every shard holds THE step sequence of its round-robin share, so the
+  // interleaved values are exactly {0 .. total - 1}.
   report.ok = true;
   return report;
-}
-
-ShardManager::RebalanceDecision ShardManager::rebalance() {
-#ifdef SCNET_CHECKED
-  if (in_flight() != 0) {
-    throw std::logic_error("rebalance() requires quiescence: " +
-                           std::to_string(in_flight()) +
-                           " call(s) in flight");
-  }
-#endif
-  RebalanceDecision decision;
-  decision.active_before = active_shards();
-  decision.epoch_tokens = dispatched();
-
-  // Score each active shard: (hottest-gate traffic fraction) x (tokens it
-  // routed this epoch) estimates the serialized fetch-adds on its hottest
-  // word. The probe feeds measured fractions when enabled; the analytical
-  // model covers probe-less deployments.
-  for (std::size_t j = 0; j < decision.active_before; ++j) {
-    Shard& shard = *shards_[j];
-    const std::uint64_t tokens = shard.epoch_tokens();
-    double hottest = 0.0;
-    const std::vector<std::uint64_t> visits = shard.cnet.gate_visits();
-    if (!visits.empty() && tokens > 0) {
-      hottest = compare_contention(shard.network, visits, tokens)
-                    .measured_hottest;
-    } else {
-      hottest = estimate_contention(shard.network).hottest_gate_fraction;
-    }
-    decision.max_score = std::max(
-        decision.max_score, hottest * static_cast<double>(tokens));
-  }
-
-  std::size_t next_active = decision.active_before;
-  if (decision.max_score > options_.grow_score &&
-      next_active < shards_.size()) {
-    ++next_active;
-  } else if (decision.max_score < options_.shrink_score && next_active > 1) {
-    --next_active;
-  }
-  decision.active_after = next_active;
-
-  // Close the epoch: everything dispatched so far is handed out, the next
-  // epoch's values start past it, and the shards restart from zero so
-  // shard-local step properties become epoch-local.
-  base_.fetch_add(dispatch_.exchange(0, std::memory_order_acq_rel),
-                  std::memory_order_acq_rel);
-  for (auto& shard : shards_) {
-    shard->closed_tokens.fetch_add(shard->epoch_tokens(),
-                                   std::memory_order_relaxed);
-    shard->cnet.reset();
-  }
-  active_.store(next_active, std::memory_order_release);
-  if (next_active != decision.active_before) rebalance_counter_->add(1);
-  return decision;
 }
 
 }  // namespace scn
