@@ -55,7 +55,6 @@
 #include <optional>
 #include <random>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 
@@ -125,14 +124,50 @@ int usage() {
   return 2;
 }
 
-std::vector<std::size_t> parse_factors(const std::string& s) {
-  std::vector<std::size_t> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, 'x')) {
-    out.push_back(std::strtoul(item.c_str(), nullptr, 10));
+// A whole unsigned decimal (digits only: no sign, no suffix, no overflow).
+std::optional<std::uint64_t> parse_whole(std::string_view text) {
+  std::uint64_t value = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (text.empty() || ec != std::errc() || end != text.data() + text.size()) {
+    return std::nullopt;
   }
-  return out;
+  return value;
+}
+
+// parse_whole for a command's argument: on failure prints
+// "<cmd> needs <what>, got '<text>'" so the caller can exit 2.
+std::optional<std::uint64_t> whole_arg(const char* cmd, const char* what,
+                                       std::string_view text) {
+  const std::optional<std::uint64_t> value = parse_whole(text);
+  if (!value) {
+    std::fprintf(stderr, "%s needs %s as a whole unsigned number, got '%.*s'\n",
+                 cmd, what, static_cast<int>(text.size()), text.data());
+  }
+  return value;
+}
+
+// "p0xp1x...": every item a whole number >= 2, the product within
+// std::size_t. On failure prints "<cmd> needs ..." and returns nullopt.
+std::optional<std::vector<std::size_t>> parse_factors(const char* cmd,
+                                                      std::string_view s) {
+  std::vector<std::size_t> out;
+  std::size_t product = 1;
+  for (std::size_t pos = 0;;) {
+    const std::size_t x = std::min(s.find('x', pos), s.size());
+    const std::optional<std::uint64_t> f = parse_whole(s.substr(pos, x - pos));
+    if (!f || *f < 2 || *f > SIZE_MAX / product) {
+      std::fprintf(stderr,
+                   "%s needs factors p0xp1x... of whole numbers >= 2 whose "
+                   "product fits std::size_t, got '%.*s'\n",
+                   cmd, static_cast<int>(s.size()), s.data());
+      return std::nullopt;
+    }
+    product *= static_cast<std::size_t>(*f);
+    out.push_back(static_cast<std::size_t>(*f));
+    if (x == s.size()) return out;
+    pos = x + 1;
+  }
 }
 
 std::vector<Count> parse_counts(const std::string& s) {
@@ -147,7 +182,7 @@ std::vector<Count> parse_counts(const std::string& s) {
 
 std::size_t log2_exact(std::size_t w) {
   std::size_t k = 0;
-  while ((std::size_t{1} << k) < w) ++k;
+  while (k < 63 && (std::size_t{1} << k) < w) ++k;
   if ((std::size_t{1} << k) != w) {
     std::fprintf(stderr, "width %zu is not a power of two\n", w);
     std::exit(2);
@@ -194,34 +229,34 @@ int cmd_build(Runtime& rt, int argc, char** argv) {
   const auto t0 = std::chrono::steady_clock::now();
   Network net;
   if (kind == "K" || kind == "L") {
-    const auto factors = parse_factors(args[1]);
-    for (const std::size_t f : factors) {
-      if (f < 2) {
-        std::fprintf(stderr, "factors must be >= 2\n");
-        return 2;
-      }
-    }
-    net = kind == "K" ? make_k_network(factors, rt)
-                      : make_l_network(factors, rt);
+    const auto factors = parse_factors("build", args[1]);
+    if (!factors) return 2;
+    net = kind == "K" ? make_k_network(*factors, rt)
+                      : make_l_network(*factors, rt);
   } else if (kind == "R") {
     if (args.size() < 3) return usage();
-    const std::size_t p = std::strtoul(args[1].c_str(), nullptr, 10);
-    const std::size_t q = std::strtoul(args[2].c_str(), nullptr, 10);
-    if (p < 2 || q < 2) {
-      std::fprintf(stderr, "R needs p, q >= 2\n");
+    const auto p = whole_arg("build", "R's p", args[1]);
+    const auto q = whole_arg("build", "R's q", args[2]);
+    if (!p || !q) return 2;
+    if (*p < 2 || *q < 2 || *q > SIZE_MAX / *p) {
+      std::fprintf(stderr,
+                   "build needs R p q >= 2 with p*q within std::size_t\n");
       return 2;
     }
-    net = make_r_network(p, q, rt);
-  } else if (kind == "bitonic") {
-    net = make_bitonic_network(
-        log2_exact(std::strtoul(args[1].c_str(), nullptr, 10)));
-  } else if (kind == "periodic") {
-    net = make_periodic_network(
-        log2_exact(std::strtoul(args[1].c_str(), nullptr, 10)));
-  } else if (kind == "batcher") {
-    net = make_batcher_network(std::strtoul(args[1].c_str(), nullptr, 10));
-  } else if (kind == "bubble") {
-    net = make_bubble_network(std::strtoul(args[1].c_str(), nullptr, 10));
+    net = make_r_network(*p, *q, rt);
+  } else if (kind == "bitonic" || kind == "periodic" || kind == "batcher" ||
+             kind == "bubble") {
+    const auto w = whole_arg("build", "a width", args[1]);
+    if (!w) return 2;
+    if (kind == "bitonic") {
+      net = make_bitonic_network(log2_exact(*w));
+    } else if (kind == "periodic") {
+      net = make_periodic_network(log2_exact(*w));
+    } else if (kind == "batcher") {
+      net = make_batcher_network(*w);
+    } else {
+      net = make_bubble_network(*w);
+    }
   } else {
     return usage();
   }
@@ -254,10 +289,14 @@ int cmd_sort(Runtime& rt, const Network& net, int argc, char** argv) {
         return 2;
       }
       passes = *parsed;
-    } else if (arg == "--batch" && i + 1 < argc) {
-      batch = std::strtoul(argv[++i], nullptr, 10);
-    } else if (arg == "--seed" && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
+    } else if ((arg == "--batch" || arg == "--seed") && i + 1 < argc) {
+      const auto value = whole_arg("sort", arg.c_str(), argv[++i]);
+      if (!value) return 2;
+      if (arg == "--batch") {
+        batch = static_cast<std::size_t>(*value);
+      } else {
+        seed = *value;
+      }
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "unknown sort option %s\n", arg.c_str());
       return 2;
@@ -351,7 +390,9 @@ int cmd_export(const Network& net, int argc, char** argv) {
     } else if (arg.rfind("--overlay=", 0) == 0) {
       overlay = arg.substr(10);
     } else if (arg == "--tokens" && i + 1 < argc) {
-      tokens = std::strtoull(argv[++i], nullptr, 10);
+      const auto value = whole_arg("export", "--tokens", argv[++i]);
+      if (!value) return 2;
+      tokens = *value;
     } else if (arg == "--title" && i + 1 < argc) {
       opts.title = argv[++i];
     } else {
@@ -433,17 +474,6 @@ int cmd_optimize(Runtime& rt, const Network& net, int argc, char** argv) {
   return 0;
 }
 
-// A whole unsigned decimal (digits only: no sign, no suffix, no overflow).
-std::optional<std::uint64_t> parse_whole(std::string_view text) {
-  std::uint64_t value = 0;
-  const auto [end, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (text.empty() || ec != std::errc() || end != text.data() + text.size()) {
-    return std::nullopt;
-  }
-  return value;
-}
-
 // Drives the sharded counting service (src/service/) and verifies the
 // counter afterwards: producer threads call next_on() under the chosen
 // schedule. The pinned report lines are "step property:" and
@@ -460,12 +490,12 @@ int cmd_saturate(Runtime& rt, int argc, char** argv) {
     const bool numeric = arg == "--shards" || arg == "--threads" ||
                          arg == "--tokens" || arg == "--seed";
     if (numeric && i + 1 < argc) {
-      const std::optional<std::uint64_t> value = parse_whole(argv[++i]);
+      const auto value = whole_arg("saturate", arg.c_str(), argv[++i]);
+      if (!value) return 2;
       const bool bounded = arg == "--shards" || arg == "--threads";
-      if (!value || (bounded && (*value == 0 || *value > kMaxParallel))) {
-        std::fprintf(stderr, "saturate needs %s %s, got '%s'\n", arg.c_str(),
-                     bounded ? "in [1, 1024]" : "as a whole unsigned number",
-                     argv[i]);
+      if (bounded && (*value == 0 || *value > kMaxParallel)) {
+        std::fprintf(stderr, "saturate needs %s in [1, 1024], got '%s'\n",
+                     arg.c_str(), argv[i]);
         return 2;
       }
       if (arg == "--shards") {
@@ -478,7 +508,9 @@ int cmd_saturate(Runtime& rt, int argc, char** argv) {
         sat.schedule.seed = *value;
       }
     } else if (arg == "--factors" && i + 1 < argc) {
-      shard_opts.factors = parse_factors(argv[++i]);
+      auto factors = parse_factors("saturate", argv[++i]);
+      if (!factors) return 2;
+      shard_opts.factors = std::move(*factors);
     } else if (arg == "--schedule" && i + 1 < argc) {
       const auto kind = parse_schedule(argv[++i]);
       if (!kind) {
@@ -492,14 +524,7 @@ int cmd_saturate(Runtime& rt, int argc, char** argv) {
     }
   }
 
-  std::optional<ShardManager> built;
-  try {
-    built.emplace(shard_opts, rt);
-  } catch (const std::invalid_argument& e) {  // e.g. a factor below 2
-    std::fprintf(stderr, "saturate needs valid --factors: %s\n", e.what());
-    return 2;
-  }
-  ShardManager& service = *built;
+  ShardManager service(shard_opts, rt);
   const SaturationResult res = run_saturation(service, sat);
   std::printf(
       "saturate: shards %zu width %zu threads %zu tokens %llu schedule %s\n",

@@ -46,10 +46,14 @@ struct FamilyMember {
     std::size_t w, NetworkKind kind, std::size_t limit = 0,
     Runtime& rt = Runtime::shared());
 
-/// Convenience: a width-w network whose balancers do not exceed
-/// `max_balancer` when any factorization of w permits it (choosing the
-/// shallowest such member); otherwise best-effort — the member minimizing
-/// the balancer bound (e.g. w with a prime factor above the cap).
+/// The library's network chooser (Sorter and Counter call it): a width-w
+/// network whose balancers do not exceed `max_balancer` when a balanced
+/// factorization of w permits it, choosing the one with the fewest factors
+/// (balanced_factorization over every packing target). That is not always
+/// the shallowest member within the cap — at w=16, K, cap 8 it picks
+/// K(2x2x2x2) at depth 12 where K(2x2x4) at depth 5 fits. Otherwise it is
+/// best-effort: the member minimizing the balancer bound (e.g. w with a
+/// prime factor above the cap).
 [[nodiscard]] Network make_network_for_width(std::size_t w,
                                              std::size_t max_balancer,
                                              NetworkKind kind,

@@ -74,16 +74,4 @@ ContentionComparison compare_contention(const Network& net,
   return cmp;
 }
 
-double latency_crossover(const ContentionEstimate& a,
-                         const ContentionEstimate& b, double alpha,
-                         double beta, double t_max) {
-  // a(T) = hops_a * alpha + (T-1) * hot_a * beta; solve a(T) == b(T).
-  const double slope = (a.hottest_gate_fraction - b.hottest_gate_fraction) *
-                       beta;
-  const double offset = (b.hops_per_token - a.hops_per_token) * alpha;
-  if (slope == 0.0) return -1.0;
-  const double t = 1.0 + offset / slope;
-  return (t > 1.0 && t <= t_max) ? t : -1.0;
-}
-
 }  // namespace scn

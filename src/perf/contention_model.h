@@ -1,22 +1,20 @@
-// Analytical contention / cost model for shared-memory balancing networks.
+// Static traffic model for shared-memory balancing networks.
 //
 // In the shared-memory deployment every balancer is one fetch-and-add word.
-// With T concurrent tokens in steady state, the expected load on a balancer
-// is proportional to the fraction of traffic crossing it. Because balancers
-// split traffic evenly, a width-p balancer at layer l of a width-w network
-// sees p/w of the tokens entering its layer, and each token performs
-// depth-many fetch-adds. This module computes:
+// Because balancers split traffic evenly, a width-p balancer at layer l of
+// a width-w network sees p/w of the tokens entering its layer, and each
+// token performs depth-many fetch-adds. This module computes:
 //
 //   * per-gate steady-state traffic fractions,
-//   * the memory-contention figure of Dwork-Herlihy-Waarts style analyses
-//     (max over gates of traffic x concurrency),
-//   * predicted latency/throughput for a simple alpha-beta cost model,
+//   * the figures behind the family trade-off (paper §1, citing Felten et
+//     al. [9]): hops per token, which falls as balancers widen, and the
+//     hottest gate's traffic share, which rises with them,
+//   * the comparison of those predictions against visit counts measured
+//     by ConcurrentNetwork's visit probe.
 //
-// which is what makes the family trade-off (paper §1: "optimal performance
-// for a fixed w is achieved by balancers of intermediate size", citing
-// Felten et al. [9]) quantitative: wider balancers mean fewer layers
-// (lower latency) but more tokens funneled through each hot word (higher
-// contention).
+// It predicts where traffic goes, not how long a token takes. Throughput
+// is measured (bench_fetch_inc), and the wide-vs-deep crossover is
+// reproduced under an explicit simulated regime (bench_event_sim).
 #pragma once
 
 #include <cstddef>
@@ -43,29 +41,10 @@ struct ContentionEstimate {
   double mean_gate_fraction = 0.0;
   /// Expected fetch-adds per token (== mean path length over wires).
   double hops_per_token = 0.0;
-  /// Predicted completion time per token for T concurrent tokens under an
-  /// alpha-beta model: hops * alpha + (T-1) * hottest_fraction * beta —
-  /// alpha is the per-hop base cost, beta the serialization cost of one
-  /// fetch-add on a contended word, and a lone token (T = 1) pays no
-  /// contention.
-  double predicted_latency(double concurrency, double alpha,
-                           double beta) const {
-    const double contenders = concurrency > 1.0 ? concurrency - 1.0 : 0.0;
-    return hops_per_token * alpha +
-           contenders * hottest_gate_fraction * beta;
-  }
 };
 
 /// Aggregates gate_traffic into the summary figures above.
 [[nodiscard]] ContentionEstimate estimate_contention(const Network& net);
-
-/// For a family sweep: the concurrency level at which `a`'s predicted
-/// latency first exceeds `b`'s (the crossover the paper's trade-off is
-/// about), or a negative value if they never cross for T in (0, t_max].
-[[nodiscard]] double latency_crossover(const ContentionEstimate& a,
-                                       const ContentionEstimate& b,
-                                       double alpha, double beta,
-                                       double t_max = 1e6);
 
 /// The analytical model checked against a measured run: per-gate traffic
 /// predictions from gate_traffic() next to visit counts observed by

@@ -18,7 +18,6 @@
 #include "core/k_network.h"             // IWYU pragma: export
 #include "core/l_network.h"             // IWYU pragma: export
 #include "core/merger.h"                // IWYU pragma: export
-#include "core/planner.h"               // IWYU pragma: export
 #include "core/r_decomposition.h"       // IWYU pragma: export
 #include "core/r_network.h"             // IWYU pragma: export
 #include "core/staircase_merger.h"      // IWYU pragma: export

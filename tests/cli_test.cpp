@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #ifndef SCNET_CLI_PATH
 #error "SCNET_CLI_PATH must be defined by the build"
@@ -19,9 +20,10 @@ struct CommandResult {
   std::string output;
 };
 
-CommandResult run_command(const std::string& cmd) {
+// Runs a shell command line and collects its stdout.
+CommandResult run_shell(const std::string& line) {
   CommandResult result;
-  FILE* pipe = popen((cmd + " 2>&1").c_str(), "r");
+  FILE* pipe = popen(line.c_str(), "r");
   if (pipe == nullptr) return result;
   std::array<char, 512> buf{};
   while (fgets(buf.data(), buf.size(), pipe) != nullptr) {
@@ -29,6 +31,27 @@ CommandResult run_command(const std::string& cmd) {
   }
   const int status = pclose(pipe);
   result.exit_code = WEXITSTATUS(status);
+  return result;
+}
+
+CommandResult run_command(const std::string& cmd) {
+  return run_shell(cmd + " 2>&1");
+}
+
+// Like run_command, but keeps stderr apart so a test can check that
+// stdout stayed empty.
+struct SplitResult {
+  CommandResult stdout_part;
+  std::string err;
+};
+
+SplitResult run_split(const std::string& cmd, const std::string& err_path) {
+  SplitResult result{run_shell("(" + cmd + ") 2>" + err_path), {}};
+  std::ifstream err(err_path);
+  std::stringstream text;
+  text << err.rdbuf();
+  result.err = text.str();
+  std::remove(err_path.c_str());
   return result;
 }
 
@@ -345,6 +368,46 @@ TEST(Cli, SaturateSyncModeAcceptsEverySchedule) {
     EXPECT_NE(r.output.find(std::string("schedule ") + schedule + "\n"),
               std::string::npos);
     EXPECT_NE(r.output.find("linearity: PASS"), std::string::npos);
+  }
+}
+
+TEST(Cli, NumbersMustBeWholeUnsignedDecimals) {
+  // Signs, suffixes, empty or sub-2 factors and widths whose product
+  // overflows std::size_t are refused with exit 2 before anything is
+  // built: a "<command> needs" message and nothing on stdout.
+  const std::string net = kCli + " build K 2x2 | ";
+  const std::pair<const char*, std::string> cases[] = {
+      {"build", kCli + " build L 4294967296x4294967296"},
+      {"build", kCli + " build K 4294967296x4294967296"},
+      {"build", kCli + " build K 2x-1"},
+      {"build", kCli + " build K 2x4x"},
+      {"build", kCli + " build K 2xx4"},
+      {"build", kCli + " build L 2x1"},
+      {"build", kCli + " build K 2xq"},
+      {"build", kCli + " build R -1 3"},
+      {"build", kCli + " build R 3 4x"},
+      {"build", kCli + " build R 4294967296 4294967296"},
+      {"build", kCli + " build batcher -5"},
+      {"build", kCli + " build bubble 1e3"},
+      {"build", kCli + " build bitonic -16"},
+      {"build", kCli + " build periodic 8x"},
+      {"saturate", kCli + " saturate --factors 2x-1"},
+      {"saturate", kCli + " saturate --factors 2x2x"},
+      {"sort", net + kCli + " sort --engine=plan --batch -1"},
+      {"sort", net + kCli + " sort --engine=plan --batch 4x"},
+      {"sort", net + kCli + " sort --engine=plan --batch 4 --seed -1"},
+      {"export", net + kCli + " export --dot --overlay=contention --tokens -1"},
+      {"export", net + kCli + " export --dot --tokens 10k"},
+  };
+  const std::string err_path =
+      testing::TempDir() + "scnet_cli_test_numbers_stderr.txt";
+  for (const auto& [command, cmd] : cases) {
+    const SplitResult r = run_split(cmd, err_path);
+    EXPECT_EQ(r.stdout_part.exit_code, 2) << cmd << ": " << r.err;
+    EXPECT_NE(r.err.find(std::string(command) + " needs "),
+              std::string::npos)
+        << cmd << ": " << r.err;
+    EXPECT_EQ(r.stdout_part.output, "") << cmd;
   }
 }
 

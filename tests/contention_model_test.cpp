@@ -1,8 +1,7 @@
 // Analytical contention model: traffic conservation, agreement with the
-// token simulator's empirical hop counts, and trade-off predictions.
+// token simulator's empirical hop counts, and the family trade-off.
 #include <gtest/gtest.h>
 
-#include "core/family.h"
 #include "core/k_network.h"
 #include "perf/contention_model.h"
 #include "sim/token_sim.h"
@@ -66,50 +65,6 @@ TEST(ContentionEstimate, HottestGateDropsWithDepthInFamily) {
   EXPECT_DOUBLE_EQ(ew.hottest_gate_fraction, 1.0);
   EXPECT_NEAR(en.hottest_gate_fraction, 1.0 / 16.0, 1e-9);
   EXPECT_LT(ew.hops_per_token, en.hops_per_token);
-}
-
-TEST(LatencyCrossover, WideWinsAtLowConcurrencyNarrowAtHigh) {
-  // alpha = per-hop cost, beta = serialization cost: the wide network has
-  // fewer hops but a hotter gate, so a crossover concurrency must exist.
-  const auto wide = estimate_contention(make_k_network({64}));
-  const auto narrow =
-      estimate_contention(make_k_network({2, 2, 2, 2, 2, 2}));
-  const double alpha = 1.0, beta = 1.0;
-  const double cross = latency_crossover(wide, narrow, alpha, beta);
-  ASSERT_GT(cross, 0.0);
-  // Below the crossover the wide network is faster; above, slower.
-  EXPECT_LT(wide.predicted_latency(cross / 2, alpha, beta),
-            narrow.predicted_latency(cross / 2, alpha, beta));
-  EXPECT_GT(wide.predicted_latency(cross * 2, alpha, beta),
-            narrow.predicted_latency(cross * 2, alpha, beta));
-}
-
-TEST(LatencyCrossover, ParallelCurvesNeverCross) {
-  const auto a = estimate_contention(make_k_network({4, 4}));
-  EXPECT_LT(latency_crossover(a, a, 1.0, 1.0), 0.0);
-}
-
-TEST(ContentionEstimate, IntermediateWidthMinimizesPredictedLatency) {
-  // The [9]-motivated claim in model form: at a suitable concurrency, some
-  // intermediate factorization beats both extremes.
-  std::vector<ContentionEstimate> ests;
-  std::vector<std::string> labels;
-  for (const auto& m : enumerate_family(64, NetworkKind::kK)) {
-    ests.push_back(estimate_contention(m.network));
-    labels.push_back(m.label());
-  }
-  const double alpha = 1.0, beta = 64.0, t = 32.0;
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < ests.size(); ++i) {
-    if (ests[i].predicted_latency(t, alpha, beta) <
-        ests[best].predicted_latency(t, alpha, beta)) {
-      best = i;
-    }
-  }
-  // Best is neither the single balancer (hottest = 1.0) nor the all-2
-  // factorization (deepest).
-  EXPECT_GT(ests[best].hottest_gate_fraction, 1.0 / 32.0);
-  EXPECT_LT(ests[best].hottest_gate_fraction, 1.0);
 }
 
 }  // namespace
