@@ -68,11 +68,10 @@ struct Measurement {
 /// the network, on a fresh Runtime pinned to that backend.
 double backend_vps(const NetworkCase& c, EngineBackend which) {
   Runtime::Options options;
-  options.pass_level = PassLevel::kNone;  // measure the raw networks
   options.backend = which;
   Runtime rt(options);
   const Network net = c.build(rt);
-  const CachedPlan cached = rt.compiled(
+  const CachedPlan cached = rt.compiled(  // kNone: measure the raw network
       net, PassLevel::kNone, PassOptions{.semantics = Semantics::kComparator});
   const auto inputs = bench::random_inputs(net.width(), kBatch, 99);
   const double t = bench::best_time([&] {

@@ -3,19 +3,16 @@
 // Three questions, one table per network (K / L / bitonic / batcher at
 // widths 24-120, plus a deliberately redundant composed network):
 //
-//   1. What do the pipelines remove?  gates/layers before vs after the
-//      `default`, `aggressive`, and `optimal` levels (comparator
-//      semantics).
+//   1. What does the pipeline remove?  gates/layers before vs after the
+//      `default` level (comparator semantics).
 //   2. What does the cache save at compile time?  pipeline + plan
 //      compilation on a cold cache (miss) vs a warm lookup (hit).
 //   3. What does that mean end to end?  vectors/sec for a 512-vector
 //      batch when every call re-optimizes vs when the plan is cached.
 //
 // The preamble emits BENCH_passes.json and the process exits non-zero if
-// the `default` pipeline ever INCREASES depth, or the `optimal` pipeline
-// ever exceeds `default` — CI runs this binary with --benchmark_filter=^$
-// as a depth-regression gate. (bench_depth_opt.cpp is the companion gate
-// proving the peephole's depth WINS; this one only guards against loss.)
+// the `default` pipeline ever INCREASES depth — CI runs this binary with
+// --benchmark_filter=^$ as a depth-regression gate.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -51,10 +48,6 @@ struct Measurement {
   std::uint32_t depth;
   std::size_t gates_default;    // gate count after the default pipeline
   std::uint32_t depth_default;  // depth after the default pipeline
-  std::size_t gates_aggressive;
-  std::uint32_t depth_aggressive;
-  std::size_t gates_optimal;    // gate count after the optimal pipeline
-  std::uint32_t depth_optimal;  // depth after the optimal pipeline
   double compile_miss_s;  // optimize + compile, cold cache
   double compile_hit_s;   // warm cache lookup
   double e2e_miss_vps;    // batch sort, re-optimizing every call
@@ -71,12 +64,6 @@ Measurement measure(const char* name, const Network& net) {
   const PipelineResult dflt = optimize_network(net, PassLevel::kDefault);
   m.gates_default = dflt.network.gate_count();
   m.depth_default = dflt.network.depth();
-  const PipelineResult aggr = optimize_network(net, PassLevel::kAggressive);
-  m.gates_aggressive = aggr.network.gate_count();
-  m.depth_aggressive = aggr.network.depth();
-  const PipelineResult opt = optimize_network(net, PassLevel::kOptimal);
-  m.gates_optimal = opt.network.gate_count();
-  m.depth_optimal = opt.network.depth();
 
   PlanCache cache(8);
   m.compile_miss_s = best_time([&] {
@@ -112,21 +99,17 @@ Measurement measure(const char* name, const Network& net) {
   return m;
 }
 
-/// True iff the depth-preserving pipelines kept their bounds (the
-/// regression CI gates on): default never above construction depth, and
-/// optimal (default + peephole-optimal) never above default.
-bool depth_ok(const Measurement& m) {
-  return m.depth_default <= m.depth && m.depth_optimal <= m.depth_default;
-}
+/// True iff the default pipeline kept its bound (the regression CI gates
+/// on): never above construction depth.
+bool depth_ok(const Measurement& m) { return m.depth_default <= m.depth; }
 
 void emit_report(const std::vector<Measurement>& ms) {
   bench::print_header(
       "E-OPT  Pass pipeline + compiled-plan cache",
       "default pipeline never increases depth; cache removes recompilation");
-  std::printf(
-      "%-18s %5s %6s %4s | %6s %4s | %6s %4s | %6s %4s | %10s %10s %8s\n",
-      "network", "w", "gates", "d", "g:dflt", "d", "g:aggr", "d", "g:opt",
-      "d", "miss (us)", "hit (us)", "e2e x");
+  std::printf("%-18s %5s %6s %4s | %6s %4s | %10s %10s %8s\n", "network",
+              "w", "gates", "d", "g:dflt", "d", "miss (us)", "hit (us)",
+              "e2e x");
   bench::print_row_rule();
   bench::JsonReport report("BENCH_passes.json", "pass_pipeline");
   bool all_pass = true;
@@ -135,13 +118,10 @@ void emit_report(const std::vector<Measurement>& ms) {
     all_pass = all_pass && pass;
     const double cache_speedup = m.compile_miss_s / m.compile_hit_s;
     const double e2e_speedup = m.e2e_hit_vps / m.e2e_miss_vps;
-    std::printf(
-        "%-18s %5zu %6zu %4u | %6zu %4u | %6zu %4u | %6zu %4u | %10.1f "
-        "%10.3f %7.2fx %s\n",
-        m.network, m.width, m.gates, m.depth, m.gates_default, m.depth_default,
-        m.gates_aggressive, m.depth_aggressive, m.gates_optimal,
-        m.depth_optimal, m.compile_miss_s * 1e6, m.compile_hit_s * 1e6,
-        e2e_speedup, bench::mark(pass));
+    std::printf("%-18s %5zu %6zu %4u | %6zu %4u | %10.1f %10.3f %7.2fx %s\n",
+                m.network, m.width, m.gates, m.depth, m.gates_default,
+                m.depth_default, m.compile_miss_s * 1e6,
+                m.compile_hit_s * 1e6, e2e_speedup, bench::mark(pass));
     report.begin_row();
     report.kv("network", m.network);
     report.kv("width", static_cast<std::uint64_t>(m.width));
@@ -154,12 +134,6 @@ void emit_report(const std::vector<Measurement>& ms) {
               static_cast<std::uint64_t>(m.gates - m.gates_default));
     report.kv("layers_removed",
               static_cast<std::uint64_t>(m.depth - m.depth_default));
-    report.kv("aggressive_gates",
-              static_cast<std::uint64_t>(m.gates_aggressive));
-    report.kv("aggressive_depth",
-              static_cast<std::uint64_t>(m.depth_aggressive));
-    report.kv("optimal_gates", static_cast<std::uint64_t>(m.gates_optimal));
-    report.kv("optimal_depth", static_cast<std::uint64_t>(m.depth_optimal));
     report.kv("compile_miss_us", m.compile_miss_s * 1e6);
     report.kv("compile_hit_us", m.compile_hit_s * 1e6);
     report.kv("cache_compile_speedup", cache_speedup);
@@ -251,8 +225,8 @@ int main(int argc, char** argv) {
   for (const Measurement& m : ms) all_ok = all_ok && depth_ok(m);
   if (!all_ok) {
     std::fprintf(stderr,
-                 "DEPTH REGRESSION: a depth-preserving pipeline (default or "
-                 "optimal) increased depth on at least one network\n");
+                 "DEPTH REGRESSION: the default pipeline increased depth on "
+                 "at least one network\n");
     return 1;
   }
   benchmark::Initialize(&argc, argv);

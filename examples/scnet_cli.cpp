@@ -24,8 +24,8 @@
 //                                            threaded)
 //   scnet_cli sort --engine=plan --batch N   sort N random vectors (SoA
 //                                            batch, backend by dispatch)
-//   scnet_cli sort --engine=plan --passes=aggressive ...  pick the pass
-//                                            pipeline level for the plan
+//   scnet_cli sort --engine=plan --passes=none ...  compile the plan
+//                                            without the pass pipeline
 //   scnet_cli optimize [--passes=L] [--semantics=S] < net.scnet
 //                                            run the pass pipeline; stats to
 //                                            stderr, optimized net to stdout
@@ -107,12 +107,12 @@ int usage() {
                "  scnet_cli count <t0,t1,...> < net.scnet\n"
                "  scnet_cli sort [--engine={interp|plan|auto|scalar|batch|"
                "threaded}] "
-               "[--passes={none|default|aggressive|optimal}] "
+               "[--passes={none|default}] "
                "<v0,v1,...> < net.scnet\n"
                "  scnet_cli sort --engine=plan --batch <N> [--seed <s>] "
                "< net.scnet\n"
                "  scnet_cli optimize [--stats] "
-               "[--passes={none|default|aggressive|optimal}] "
+               "[--passes={none|default}] "
                "[--semantics={comparator|balancer}] < net.scnet\n"
                "  scnet_cli saturate [--shards N] [--threads N] [--tokens N]"
                " [--schedule {uniform|bursty|skewed|adversarial}]"
@@ -276,7 +276,7 @@ int cmd_sort(Runtime& rt, const Network& net, int argc, char** argv) {
   std::string engine = "interp";
   std::size_t batch = 0;
   std::uint64_t seed = 42;
-  PassLevel passes = default_pass_level();
+  PassLevel passes = PassLevel::kDefault;
   std::string values_arg;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -431,7 +431,7 @@ int cmd_export(const Network& net, int argc, char** argv) {
 }
 
 int cmd_optimize(Runtime& rt, const Network& net, int argc, char** argv) {
-  PassLevel passes = default_pass_level();
+  PassLevel passes = PassLevel::kDefault;
   PassOptions opts;
   bool stats = false;
   for (int i = 2; i < argc; ++i) {

@@ -9,7 +9,7 @@
 //
 // The Sorter picks the factorization automatically (balanced factors near
 // the configured comparator budget), runs the network through the pass
-// pipeline (opt/pass.h, level from SCNET_DEFAULT_PASSES) and caches the
+// pipeline (opt/pass.h, the default level) and caches the
 // compiled ExecutionPlan, so every sort() call rides the optimized
 // layer-scheduled kernels; Counter wraps NetworkCounter over the same
 // choice machinery.

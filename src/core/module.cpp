@@ -30,8 +30,6 @@ const char* to_string(ModuleKind kind) {
       return "C";
     case ModuleKind::kRNetwork:
       return "R";
-    case ModuleKind::kOptimalSorter:
-      return "Opt";
   }
   return "?";
 }

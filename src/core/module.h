@@ -46,7 +46,6 @@ enum class ModuleKind : std::uint8_t {
   kMerger,            ///< M(p0..pn-1)             params {p0..pn-1}
   kCounting,          ///< C(p0..pn-1)             params {p0..pn-1}
   kRNetwork,          ///< R(p, q)                 params {p, q}
-  kOptimalSorter,     ///< depth-optimal sorter    params {n}
 };
 
 [[nodiscard]] const char* to_string(ModuleKind kind);

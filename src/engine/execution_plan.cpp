@@ -2,9 +2,7 @@
 
 #include <cassert>
 
-// The wide-gate compare-exchange expansion is shared with the pass pipeline
-// (opt/passes.h ExpandWideGates) — one Batcher relabeling for both the
-// network-level rewrite and the plan's ce_wires table.
+// The wide-gate compare-exchange expansion behind the plan's ce_wires table.
 #include "opt/expand.h"
 
 namespace scn {

@@ -75,7 +75,6 @@ void NetworkBuilder::add_balancer(std::initializer_list<Wire> wires) {
 
 std::vector<Wire> NetworkBuilder::stamp(const Network& tmpl,
                                         std::span<const Wire> wires) {
-  assert(wires.size() == tmpl.width());
 #ifdef SCNET_CHECKED
   if (wires.size() != tmpl.width()) {
     std::ostringstream err;
@@ -84,6 +83,7 @@ std::vector<Wire> NetworkBuilder::stamp(const Network& tmpl,
     throw std::invalid_argument(err.str());
   }
 #endif
+  assert(wires.size() == tmpl.width());
   check_wires(wires, "stamp");
 
   // Flat splice: the template's gates are already validated (distinct

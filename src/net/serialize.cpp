@@ -81,7 +81,13 @@ ParseResult parse_network(const std::string& text) {
       if (output) return fail("duplicate output");
       std::vector<Wire> order;
       long long w;
-      while (ls >> w) order.push_back(static_cast<Wire>(w));
+      while (ls >> w) {
+        // finish() indexes by output wire before validate() runs.
+        if (w < 0 || static_cast<std::size_t>(w) >= *width) {
+          return fail("output wire out of range");
+        }
+        order.push_back(static_cast<Wire>(w));
+      }
       if (!ls.eof()) return fail("bad output wire");
       if (order.size() != *width) return fail("output order length != width");
       output = std::move(order);

@@ -1,7 +1,6 @@
-// Batcher compare-exchange expansion of a wide comparator gate — the single
-// source of truth shared by the ExpandWideGates pass (opt/passes.h) and the
-// ExecutionPlan compiler's ce_wires table (engine/execution_plan.cpp). Both
-// ride baseline/batcher.h for the odd-even construction itself.
+// Batcher compare-exchange expansion of a wide comparator gate, used by the
+// ExecutionPlan compiler's ce_wires table (engine/execution_plan.cpp). It
+// rides baseline/batcher.h for the odd-even construction itself.
 #pragma once
 
 #include <span>

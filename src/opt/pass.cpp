@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <chrono>
-#include <cstdlib>
 #include <sstream>
 
 #include "obs/metrics.h"
@@ -27,10 +26,6 @@ const char* to_string(PassLevel level) {
       return "none";
     case PassLevel::kDefault:
       return "default";
-    case PassLevel::kAggressive:
-      return "aggressive";
-    case PassLevel::kOptimal:
-      return "optimal";
   }
   return "?";
 }
@@ -38,20 +33,7 @@ const char* to_string(PassLevel level) {
 std::optional<PassLevel> parse_pass_level(std::string_view s) {
   if (s == "none") return PassLevel::kNone;
   if (s == "default") return PassLevel::kDefault;
-  if (s == "aggressive") return PassLevel::kAggressive;
-  if (s == "optimal") return PassLevel::kOptimal;
   return std::nullopt;
-}
-
-PassLevel default_pass_level() {
-  static const PassLevel level = [] {
-    const char* env = std::getenv("SCNET_DEFAULT_PASSES");
-    if (env != nullptr) {
-      if (const auto parsed = parse_pass_level(env)) return *parsed;
-    }
-    return PassLevel::kDefault;
-  }();
-  return level;
 }
 
 std::size_t PipelineResult::gates_removed() const {
@@ -80,10 +62,7 @@ std::string PipelineResult::summary() const {
       continue;
     }
     out << "gates " << s.gates_before << "->" << s.gates_after << ", depth "
-        << s.depth_before << "->" << s.depth_after;
-    if (s.rewrites > 0) out << ", rewrites " << s.rewrites;
-    out << "\n";
-    out << s.detail;  // per-rewrite provenance lines, already terminated
+        << s.depth_before << "->" << s.depth_after << "\n";
   }
   return out.str();
 }
@@ -114,7 +93,7 @@ PipelineResult PassManager::run(const Network& net,
     }
     const std::uint64_t span_start_ns = obs::Tracer::shared().now_ns();
     const auto t0 = std::chrono::steady_clock::now();
-    Network rewritten = pass->run(result.network, opts, stats);
+    Network rewritten = pass->run(result.network, opts);
     const auto t1 = std::chrono::steady_clock::now();
     stats.applied = true;
     stats.seconds = std::chrono::duration<double>(t1 - t0).count();
@@ -140,8 +119,7 @@ PipelineResult PassManager::run(const Network& net,
     }
     assert(rewritten.width() == result.network.width());
     assert(rewritten.validate().empty());
-    assert(!pass->never_increases_depth() ||
-           stats.depth_after <= stats.depth_before);
+    assert(stats.depth_after <= stats.depth_before);
     result.network = std::move(rewritten);
     result.passes.push_back(std::move(stats));
   }
@@ -153,18 +131,8 @@ PassManager make_pass_pipeline(PassLevel level) {
   if (level == PassLevel::kNone) return pm;
   pm.add(make_relayer_pass())
       .add(make_dedup_adjacent_pass())
-      .add(make_zero_one_elim_pass());
-  if (level == PassLevel::kAggressive) {
-    // Expansion creates fresh CE pairs over partially ordered wires; a
-    // second elimination round prunes the ones that can never fire.
-    pm.add(make_expand_wide_gates_pass()).add(make_zero_one_elim_pass());
-  }
-  if (level == PassLevel::kOptimal) {
-    // Runs after elimination so rewrite candidates are dead-gate-free;
-    // never increases depth (docs/optimal_networks.md).
-    pm.add(make_peephole_optimal_pass());
-  }
-  pm.add(make_relayer_pass());
+      .add(make_zero_one_elim_pass())
+      .add(make_relayer_pass());
   return pm;
 }
 

@@ -39,28 +39,17 @@ enum class Semantics : std::uint8_t {
 
 [[nodiscard]] const char* to_string(Semantics semantics);
 
-/// Pipeline aggressiveness, exposed as --passes=... in the CLI and
-/// SCNET_DEFAULT_PASSES in the environment.
+/// Whether to run the pipeline, exposed as --passes=... in the CLI.
 enum class PassLevel : std::uint8_t {
-  kNone,        ///< run the network exactly as constructed
-  kDefault,     ///< canonicalize + remove provably dead gates
-  kAggressive,  ///< default + expand wide comparators into CE pairs
-  kOptimal,     ///< default + peephole-rewrite blocks to optimal sorters
+  kNone,     ///< run the network exactly as constructed
+  kDefault,  ///< canonicalize + remove provably dead gates
 };
 
 [[nodiscard]] const char* to_string(PassLevel level);
 [[nodiscard]] std::optional<PassLevel> parse_pass_level(std::string_view s);
 
-/// Process-wide default level:
-/// SCNET_DEFAULT_PASSES=none|default|aggressive|optimal if set (and
-/// valid), else kDefault.
-[[nodiscard]] PassLevel default_pass_level();
-
 struct PassOptions {
   Semantics semantics = Semantics::kComparator;
-  /// Exhaustive 0-1 passes sweep 2^width inputs; networks wider than this
-  /// skip them (recorded as not applied). Hard ceiling 26.
-  std::size_t zero_one_width_cap = 16;
 };
 
 /// Provenance record for one pass application.
@@ -72,17 +61,12 @@ struct PassStats {
   std::uint32_t depth_before = 0;
   std::uint32_t depth_after = 0;
   double seconds = 0.0;
-  /// Local rewrites performed (0 for passes that do not rewrite blocks;
-  /// peephole-optimal counts one per replaced sub-block).
-  std::size_t rewrites = 0;
-  /// Per-rewrite provenance lines ("  wires {...}: depth a->b via Opt(n)"),
-  /// newline-terminated; appended verbatim by PipelineResult::summary().
-  std::string detail;
 };
 
 /// A network-to-network rewrite. Implementations must preserve width and
-/// logical output order, and must preserve behavior under every semantics
-/// for which applicable() returns true.
+/// logical output order, must never increase depth (the PassManager
+/// asserts it), and must preserve behavior under every semantics for which
+/// applicable() returns true.
 class Pass {
  public:
   virtual ~Pass() = default;
@@ -94,24 +78,8 @@ class Pass {
   [[nodiscard]] virtual bool applicable(const Network& net,
                                         const PassOptions& opts) const = 0;
 
-  /// Depth-preserving passes promise depth(run(net)) <= depth(net); the
-  /// PassManager asserts this. Expansion passes trade depth for kernel
-  /// uniformity and return false.
-  [[nodiscard]] virtual bool never_increases_depth() const { return true; }
-
   [[nodiscard]] virtual Network run(const Network& net,
                                     const PassOptions& opts) const = 0;
-
-  /// Stats-reporting variant the PassManager calls: passes that track
-  /// per-rewrite provenance (PassStats::rewrites / detail) override this;
-  /// the default forwards to the plain run(). `stats` arrives with the
-  /// name/gates_before/depth_before fields already filled.
-  [[nodiscard]] virtual Network run(const Network& net,
-                                    const PassOptions& opts,
-                                    PassStats& stats) const {
-    (void)stats;
-    return run(net, opts);
-  }
 };
 
 /// The result of a pipeline run: the rewritten network plus one PassStats
@@ -121,8 +89,7 @@ struct PipelineResult {
   std::vector<PassStats> passes;
 
   [[nodiscard]] std::size_t gates_removed() const;
-  /// Layers removed by depth-preserving passes (input depth - output
-  /// depth); 0 when an expansion pass deepened the network.
+  /// Layers removed by the pipeline (input depth - output depth).
   [[nodiscard]] std::uint32_t layers_removed() const;
   /// One line per pass: "name: gates a->b depth c->d (or skipped)".
   [[nodiscard]] std::string summary() const;
@@ -144,10 +111,8 @@ class PassManager {
 };
 
 /// The pipeline for a level:
-///   none       -> {}
-///   default    -> relayer, dedup-adjacent, zero-one-elim, relayer
-///   aggressive -> default + expand-wide-gates + zero-one-elim, relayer
-///   optimal    -> default + peephole-optimal, relayer
+///   none    -> {}
+///   default -> relayer, dedup-adjacent, zero-one-elim, relayer
 [[nodiscard]] PassManager make_pass_pipeline(PassLevel level);
 
 /// Convenience: make_pass_pipeline(level).run(net, opts).

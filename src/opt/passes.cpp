@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "opt/expand.h"
 #include "verify/fast_zero_one.h"
 
 namespace scn {
 namespace {
+
+/// The exhaustive 0-1 sweep costs 2^width; wider networks skip
+/// zero-one-elim (recorded as not applied).
+constexpr std::size_t kZeroOneWidthCap = 16;
 
 /// Rebuilds `net` keeping only gates with keep[gi] != 0, in the original
 /// relative order. The builder recomputes ASAP layers, so removal compacts
@@ -109,8 +112,7 @@ class ZeroOneElimPass final : public Pass {
   [[nodiscard]] bool applicable(const Network& net,
                                 const PassOptions& opts) const override {
     return opts.semantics == Semantics::kComparator &&
-           net.gate_count() > 0 &&
-           net.width() <= std::min<std::size_t>(opts.zero_one_width_cap, 26);
+           net.gate_count() > 0 && net.width() <= kZeroOneWidthCap;
   }
 
   [[nodiscard]] Network run(const Network& net,
@@ -127,41 +129,6 @@ class ZeroOneElimPass final : public Pass {
   }
 };
 
-class ExpandWideGatesPass final : public Pass {
- public:
-  [[nodiscard]] std::string_view name() const override {
-    return "expand-wide-gates";
-  }
-
-  [[nodiscard]] bool applicable(const Network& net,
-                                const PassOptions& opts) const override {
-    return opts.semantics == Semantics::kComparator &&
-           net.max_gate_width() > 2;
-  }
-
-  [[nodiscard]] bool never_increases_depth() const override { return false; }
-
-  [[nodiscard]] Network run(const Network& net,
-                            const PassOptions&) const override {
-    NetworkBuilder b(net.width());
-    std::vector<Wire> ce;
-    for (std::size_t gi = 0; gi < net.gate_count(); ++gi) {
-      const auto ws = net.gate_wires(gi);
-      if (ws.size() == 2) {
-        b.add_balancer(ws);
-        continue;
-      }
-      ce.clear();
-      append_wide_gate_ce(ws, ce);
-      for (std::size_t k = 0; k + 1 < ce.size(); k += 2) {
-        b.add_balancer({ce[k], ce[k + 1]});
-      }
-    }
-    return std::move(b).finish(
-        {net.output_order().begin(), net.output_order().end()});
-  }
-};
-
 }  // namespace
 
 std::unique_ptr<Pass> make_relayer_pass() {
@@ -174,10 +141,6 @@ std::unique_ptr<Pass> make_dedup_adjacent_pass() {
 
 std::unique_ptr<Pass> make_zero_one_elim_pass() {
   return std::make_unique<ZeroOneElimPass>();
-}
-
-std::unique_ptr<Pass> make_expand_wide_gates_pass() {
-  return std::make_unique<ExpandWideGatesPass>();
 }
 
 }  // namespace scn

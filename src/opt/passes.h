@@ -30,28 +30,7 @@ namespace scn {
 /// fires on binary inputs never fires at all, so removal is sound for
 /// comparator semantics; it is UNSOUND for balancers (an already-"sorted"
 /// wire pair still exchanges tokens) and is skipped for them, as it is for
-/// networks wider than PassOptions::zero_one_width_cap.
+/// networks wider than 16 wires (the sweep costs 2^width).
 [[nodiscard]] std::unique_ptr<Pass> make_zero_one_elim_pass();
-
-/// "expand-wide-gates" — replaces every gate wider than 2 with its Batcher
-/// odd-even compare-exchange expansion (opt/expand.h), relabeled onto the
-/// gate's physical wires so no output permutation remains. Comparator-only
-/// (a wide balancer is NOT a network of 2-balancers — paper Figure 3) and
-/// the one shipped pass that may increase depth: it trades layers for a
-/// pure width-2 gate stream that downstream kernels run branchlessly.
-[[nodiscard]] std::unique_ptr<Pass> make_expand_wide_gates_pass();
-
-/// "peephole-optimal" — finds small sorting sub-blocks (wire-cone analysis
-/// over the gate stream: union-find components of wires, closed under
-/// every gate that touched them so far) whose sortingness is certified
-/// exhaustively by the 0-1 principle, and rewrites each to the
-/// depth-optimal template of opt/optimal_lib.h when that template is
-/// strictly shallower. Comparator-only (the rewrite preserves the
-/// input-output FUNCTION, not the token-routing topology) and never
-/// increases depth: open blocks (with downstream consumers) additionally
-/// require per-wire completion times not to regress. Implementation in
-/// opt/peephole.cpp; rewrite provenance lands in PassStats::rewrites /
-/// detail.
-[[nodiscard]] std::unique_ptr<Pass> make_peephole_optimal_pass();
 
 }  // namespace scn

@@ -49,7 +49,6 @@ struct Key {
   std::uint64_t gates = 0;
   PassLevel level = PassLevel::kNone;
   Semantics semantics = Semantics::kComparator;
-  std::uint64_t width_cap = 0;
 
   bool operator==(const Key&) const = default;
 };
@@ -61,7 +60,6 @@ struct KeyHash {
     fnv::mix(h, k.gates);
     fnv::mix(h, static_cast<std::uint64_t>(k.level));
     fnv::mix(h, static_cast<std::uint64_t>(k.semantics));
-    fnv::mix(h, k.width_cap);
     return static_cast<std::size_t>(h);
   }
 };
@@ -144,7 +142,6 @@ CachedPlan PlanCache::compiled(const Network& net, PassLevel level,
   key.gates = net.gate_count();
   key.level = level;
   key.semantics = opts.semantics;
-  key.width_cap = opts.zero_one_width_cap;
 
   const std::lock_guard<std::mutex> lock(impl_->mu);
   if (const auto it = impl_->index.find(key); it != impl_->index.end()) {

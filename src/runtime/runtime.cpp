@@ -12,7 +12,6 @@ namespace scn {
 
 struct Runtime::Impl {
   Options opts;
-  PassLevel pass_level = PassLevel::kDefault;
   EngineBackend backend = EngineBackend::kAuto;
   bool is_shared = false;
 
@@ -36,7 +35,6 @@ Runtime::Runtime() : Runtime(Options{}) {}
 
 Runtime::Runtime(const Options& options) : impl_(std::make_unique<Impl>()) {
   impl_->opts = options;
-  impl_->pass_level = options.pass_level.value_or(default_pass_level());
   impl_->backend = options.backend.value_or(default_backend());
   // Registry first: the caches' constructors register their counters and
   // gauges into it (and Impl members destroy in reverse order, so the
@@ -55,7 +53,6 @@ Runtime::Runtime(const Options& options) : impl_(std::make_unique<Impl>()) {
 
 Runtime::Runtime(SharedTag) : impl_(std::make_unique<Impl>()) {
   impl_->is_shared = true;
-  impl_->pass_level = default_pass_level();
   impl_->backend = default_backend();
   impl_->registry = &obs::MetricsRegistry::shared();
   impl_->modules = &ModuleCache::shared();
@@ -82,12 +79,10 @@ ThreadPool& Runtime::pool() {
   return *impl_->pool;
 }
 
-PassLevel Runtime::pass_level() const { return impl_->pass_level; }
-
 EngineBackend Runtime::backend() const { return impl_->backend; }
 
 CachedPlan Runtime::compiled(const Network& net, const PassOptions& opts) {
-  return impl_->plans->compiled(net, impl_->pass_level, opts);
+  return impl_->plans->compiled(net, PassLevel::kDefault, opts);
 }
 
 CachedPlan Runtime::compiled(const Network& net, PassLevel level,

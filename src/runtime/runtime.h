@@ -59,7 +59,7 @@ class Runtime {
  public:
   /// Construction-time configuration. Every field has an "inherit the
   /// environment" default, so `Runtime{}` behaves like a fresh copy of the
-  /// process defaults: the SCNET_DEFAULT_PASSES / SCNET_MODULE_CACHE /
+  /// process defaults: the SCNET_MODULE_CACHE / SCNET_BACKEND /
   /// SCNET_THREADS variables are read ONCE here, never per call.
   struct Options {
     /// Worker threads for pool(). 0 defers to SCNET_THREADS, then
@@ -67,9 +67,6 @@ class Runtime {
     std::size_t threads = 0;
     /// LRU capacity of this runtime's PlanCache.
     std::size_t plan_cache_capacity = 64;
-    /// Pass pipeline level used by compiled() when the caller does not
-    /// pick one. nullopt => SCNET_DEFAULT_PASSES (else kDefault).
-    std::optional<PassLevel> pass_level;
     /// Whether the module cache interns templates (false => the imperative
     /// construction path). nullopt => SCNET_MODULE_CACHE != "0".
     std::optional<bool> module_cache;
@@ -102,10 +99,6 @@ class Runtime {
   /// the process-wide pool).
   [[nodiscard]] ThreadPool& pool();
 
-  /// The pipeline level compiled() applies by default (resolved once at
-  /// construction from Options::pass_level / SCNET_DEFAULT_PASSES).
-  [[nodiscard]] PassLevel pass_level() const;
-
   /// The engine backend request this runtime's callers hand the engine
   /// dispatcher (resolved once at construction from Options::backend /
   /// SCNET_BACKEND). kAuto defers the concrete choice to the dispatcher
@@ -113,8 +106,9 @@ class Runtime {
   [[nodiscard]] EngineBackend backend() const;
 
   /// Compiles (or fetches) the plan for `net` through THIS runtime's plan
-  /// cache at pass_level(); the explicit-level overload bypasses the
-  /// configured default. Runtime-scoped equivalent of compiled_plan().
+  /// cache at PassLevel::kDefault; the explicit-level overload lets a
+  /// caller run the network as constructed (kNone). Runtime-scoped
+  /// equivalent of compiled_plan().
   [[nodiscard]] CachedPlan compiled(const Network& net,
                                     const PassOptions& opts = {});
   [[nodiscard]] CachedPlan compiled(const Network& net, PassLevel level,

@@ -82,8 +82,8 @@ TEST(PlanCache, DistinctConfigurationsGetDistinctEntries) {
   PlanCache cache(8);
   const Network net = make_k_network({2, 3});
   (void)cache.compiled(net, PassLevel::kDefault);
-  const CachedPlan aggressive = cache.compiled(net, PassLevel::kAggressive);
-  EXPECT_FALSE(aggressive.hit);
+  const CachedPlan none = cache.compiled(net, PassLevel::kNone);
+  EXPECT_FALSE(none.hit);
   const CachedPlan balancer = cache.compiled(
       net, PassLevel::kDefault, PassOptions{.semantics = Semantics::kBalancer});
   EXPECT_FALSE(balancer.hit);
@@ -126,8 +126,7 @@ TEST(PlanCache, ClearResetsEntriesAndCounters) {
 TEST(PlanCache, CachedPlanMatchesInterpreterOnEveryLevel) {
   const Network net = make_bitonic_network(4);
   std::mt19937_64 rng(5);
-  for (const PassLevel level :
-       {PassLevel::kNone, PassLevel::kDefault, PassLevel::kAggressive}) {
+  for (const PassLevel level : {PassLevel::kNone, PassLevel::kDefault}) {
     const CachedPlan cached = compiled_plan(net, level);
     for (int trial = 0; trial < 20; ++trial) {
       const auto in = random_count_vector(rng, net.width(), 300);

@@ -32,6 +32,14 @@ std::uint64_t metric(Runtime& rt, std::string_view name) {
   return rt.metrics().value(name);
 }
 
+/// Interning on regardless of SCNET_MODULE_CACHE, for the tests that
+/// count module-cache misses.
+Runtime::Options interning() {
+  Runtime::Options o;
+  o.module_cache = true;
+  return o;
+}
+
 TEST(Runtime, SharedFrontsTheProcessWideSingletons) {
   Runtime& rt = Runtime::shared();
   EXPECT_TRUE(rt.is_shared());
@@ -43,8 +51,8 @@ TEST(Runtime, SharedFrontsTheProcessWideSingletons) {
 }
 
 TEST(Runtime, PrivateRuntimesShareNoCacheOrMetricState) {
-  Runtime rt1;
-  Runtime rt2;
+  Runtime rt1(interning());
+  Runtime rt2(interning());
   EXPECT_FALSE(rt1.is_shared());
   EXPECT_NE(&rt1.module_cache(), &rt2.module_cache());
   EXPECT_NE(&rt1.plan_cache(), &rt2.plan_cache());
@@ -110,17 +118,20 @@ TEST(Runtime, OptionsSizeThePoolAndGateTheModuleCache) {
 }
 
 TEST(Runtime, PassLevelOptionControlsCompiled) {
-  Runtime::Options none_options;
-  none_options.pass_level = PassLevel::kNone;
-  Runtime none(none_options);
-  EXPECT_EQ(none.pass_level(), PassLevel::kNone);
-  const Network net = make_l_network({2, 3, 4}, none);
-  const CachedPlan raw = none.compiled(net);
-  // The explicit-level overload bypasses the configured default and keys
-  // the cache separately.
-  const CachedPlan opt = none.compiled(net, PassLevel::kDefault);
-  EXPECT_FALSE(opt.hit);
-  EXPECT_EQ(none.plan_cache().stats().misses, 2u);
+  Runtime rt;
+  const Network net = make_l_network({2, 3, 4}, rt);
+  // compiled(net) runs the default pipeline: same entry as the explicit
+  // kDefault overload.
+  const CachedPlan opt = rt.compiled(net);
+  ASSERT_NE(opt.passes, nullptr);
+  EXPECT_FALSE(opt.passes->empty());
+  EXPECT_TRUE(rt.compiled(net, PassLevel::kDefault).hit);
+  // The explicit kNone overload skips the pipeline and keys the cache
+  // separately.
+  const CachedPlan raw = rt.compiled(net, PassLevel::kNone);
+  EXPECT_FALSE(raw.hit);
+  EXPECT_TRUE(raw.passes->empty());
+  EXPECT_EQ(rt.plan_cache().stats().misses, 2u);
   EXPECT_GE(raw.plan->gate_count(), opt.plan->gate_count());
 }
 
@@ -156,7 +167,7 @@ TEST(ThreadPoolDefaults, AbsurdThreadCountsAreClamped) {
 }
 
 TEST(Runtime, ClearCachesResetsRegistryCountersWithThePurge) {
-  Runtime rt;
+  Runtime rt(interning());
   const Network net = make_k_network({2, 3, 4}, rt);
   (void)rt.compiled(net);
   (void)rt.compiled(net);  // plan-cache hit
@@ -175,7 +186,7 @@ TEST(Runtime, ClearCachesResetsRegistryCountersWithThePurge) {
 }
 
 TEST(Runtime, ApiOverloadsAreRuntimeScoped) {
-  Runtime rt;
+  Runtime rt(interning());
   const Network net = make_k_network({2, 2, 3}, rt);
   (void)rt.compiled(net);
   const CacheStatsReport stats = cache_stats(rt);

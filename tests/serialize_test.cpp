@@ -97,6 +97,8 @@ INSTANTIATE_TEST_SUITE_P(
         BadCase{"out_len", "scnet 1\nwidth 3\noutput 0 1\n"},
         BadCase{"out_dup", "scnet 1\nwidth 2\noutput 0 0\n"},
         BadCase{"out_range", "scnet 1\nwidth 2\noutput 0 5\n"},
+        BadCase{"out_range_negative", "scnet 1\nwidth 2\noutput 0 -1\n"},
+        BadCase{"out_range_far", "scnet 1\nwidth 2\noutput 0 1000000\n"},
         BadCase{"gate_after_output",
                 "scnet 1\nwidth 2\noutput 0 1\ngate 0 1\n"},
         BadCase{"unknown", "scnet 1\nwidth 2\nfrobnicate\n"}),

@@ -57,9 +57,9 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)#\s]+)(?:#[^)\s]*)?\)")
 # Benchmarks and tests are referenced by target name ("bench_depth_k"),
 # and prose sometimes names a path that is a *concept* rather than a
 # file; list deliberate exceptions here. The deleted SIMD kernels,
-# topology layer, autotuner, service front end, network planner and
-# contention-model bench stay named by the change history, which records
-# what was removed.
+# topology layer, autotuner, service front end, network planner,
+# contention-model bench, depth-optimal rewrite pass and sorter library
+# stay named by the change history, which records what was removed.
 ALLOWED_MISSING: set[str] = {
     "src/engine/simd_kernels.h",
     "src/topo/",
@@ -71,6 +71,13 @@ ALLOWED_MISSING: set[str] = {
     "src/core/planner.{h,cpp}",
     "tests/planner_test.cpp",
     "bench/bench_contention_model.cpp",
+    "src/opt/peephole.cpp",
+    "src/opt/optimal_lib.{h,cpp}",
+    "src/opt/optimal_lib",
+    "tests/peephole_test.cpp",
+    "tests/optimal_lib_test.cpp",
+    "bench/bench_depth_opt.cpp",
+    "docs/optimal_networks.md",
 }
 
 
