@@ -49,8 +49,8 @@ class Backend {
   [[nodiscard]] const char* name() const { return to_string(which_); }
 
   /// Comparator semantics over every lane of an SoA batch, in place.
-  /// batch.width() must equal plan.width(). `rt` supplies the pool for
-  /// the threaded backend; the others ignore it.
+  /// Throws std::invalid_argument unless batch.width() == plan.width().
+  /// `rt` supplies the pool for the threaded backend; the others ignore it.
   void run_batch(const ExecutionPlan& plan, Batch<Count>& batch,
                  Runtime& rt) const;
 
@@ -98,6 +98,15 @@ class Backend {
 [[nodiscard]] std::vector<Count> sorted_output(const ExecutionPlan& plan,
                                                std::span<const Count> input,
                                                EngineBackend choice);
+
+/// Runs `plan` as a comparator network on `values` and writes the result
+/// back in place, ascending (the logical output order reversed). The walk
+/// runs on a per-thread scratch buffer that only grows, so a call on a
+/// thread that has already sorted this width or a wider one allocates
+/// nothing. Throws std::invalid_argument unless values.size() ==
+/// plan.width().
+void sort_ascending(const ExecutionPlan& plan, std::span<Count> values,
+                    EngineBackend choice);
 
 /// Count propagation on a copy of `input`, logical output order.
 [[nodiscard]] std::vector<Count> counts_output(const ExecutionPlan& plan,

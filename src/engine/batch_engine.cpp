@@ -1,9 +1,9 @@
 #include "engine/batch_engine.h"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -27,6 +27,17 @@ constexpr std::size_t kLaneBlock = 32;
 // cache hits instead of streaming full rows from memory per gate.
 // 256 lanes x 8 bytes = 2 KB per row segment.
 constexpr std::size_t kExecBlock = 256;
+
+// A vector shorter or longer than the plan would be walked past its end, so
+// every entry checks lengths in all builds: once per call for one vector,
+// once per vector for a batch.
+void check_length(const char* entry, const ExecutionPlan& plan,
+                  std::size_t got) {
+  if (got == plan.width()) return;
+  throw std::invalid_argument(std::string(entry) + ": input of length " +
+                              std::to_string(got) + " for a plan of width " +
+                              std::to_string(plan.width()));
+}
 
 // Lane-major rows: lane j of physical wire w lives at base[w * stride + j].
 // A Batch is stride = batch_size; a single vector is stride 1, lane 0.
@@ -156,7 +167,9 @@ void for_lanes(ThreadPool* pool, std::size_t lanes, std::size_t grain,
 template <Semantics S>
 void run_batch(const ExecutionPlan& plan, Batch<Count>& batch,
                ThreadPool* pool, std::size_t grain) {
-  assert(batch.width() == plan.width());
+  check_length(S == Semantics::kComparator ? "run_plan_batch"
+                                           : "run_plan_counts_batch",
+               plan, batch.width());
   const Rows rows{batch.data(), batch.batch_size()};
   for_lanes(pool, batch.batch_size(), grain,
             [&](std::size_t begin, std::size_t end) {
@@ -171,6 +184,11 @@ template <Semantics S>
 std::vector<std::vector<Count>> run_packed(
     const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
     ThreadPool* pool) {
+  for (const std::vector<Count>& in : inputs) {
+    check_length(S == Semantics::kComparator ? "plan_sort_batch"
+                                             : "plan_count_batch",
+                 plan, in.size());
+  }
   Batch<Count> batch(plan.width(), inputs.size());
   std::vector<std::vector<Count>> outs(inputs.size(),
                                        std::vector<Count>(plan.width()));
@@ -207,7 +225,7 @@ std::vector<Count> in_output_order(const ExecutionPlan& plan,
 }  // namespace
 
 void run_plan(const ExecutionPlan& plan, std::span<Count> values) {
-  assert(values.size() == plan.width());
+  check_length("run_plan", plan, values.size());
   SCNET_COUNTER_ADD("engine.run.scalar", 1);
   SCNET_TRACE_SPAN("engine", "run_plan");
   run_lanes<Semantics::kComparator>(plan, Rows{values.data(), 1}, 0, 1);
@@ -221,7 +239,7 @@ std::vector<Count> plan_comparator_output(const ExecutionPlan& plan,
 }
 
 void run_plan_counts(const ExecutionPlan& plan, std::span<Count> counts) {
-  assert(counts.size() == plan.width());
+  check_length("run_plan_counts", plan, counts.size());
   SCNET_COUNTER_ADD("engine.run.scalar", 1);
   SCNET_TRACE_SPAN("engine", "run_plan_counts");
   run_lanes<Semantics::kBalancer>(plan, Rows{counts.data(), 1}, 0, 1);

@@ -16,6 +16,9 @@
 // Comparator entry points use the default descending numeric order (the
 // fast kernels exist precisely because the order is known); callers needing
 // a custom comparator stay on apply_comparators.
+//
+// Every entry throws std::invalid_argument when a vector's length (or a
+// batch's width) differs from plan.width(), in every build.
 #pragma once
 
 #include <span>
@@ -53,7 +56,7 @@ void run_plan_counts(const ExecutionPlan& plan, std::span<Count> counts);
 // Batches (SoA).
 
 /// Runs the plan as a comparator network over every lane of `batch` in
-/// place; batch.width() must equal plan.width(). With a `pool`, the lanes
+/// place (batch.width() must equal plan.width()). With a `pool`, the lanes
 /// are striped across it in contiguous ranges of at least
 /// `min_lanes_per_task` lanes; without one the walk runs on the caller.
 void run_plan_batch(const ExecutionPlan& plan, engine::Batch<Count>& batch,
