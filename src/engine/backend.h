@@ -8,8 +8,8 @@
 //                  other backend is pinned against.
 //   * `batch`    — the cache-blocked SoA walk over every lane on the
 //                  caller's thread; lane loops auto-vectorize.
-//   * `threaded` — the same walk with the lanes striped over the runtime's
-//                  ThreadPool.
+//   * `threaded` — the same walk on the runtime's ThreadPool (a Batch in
+//                  stripes, input vectors in 64-lane blocks).
 //
 // Callers do not pick a Backend directly: they pass an EngineBackend
 // *request* (core/cost_model.h) — typically `Runtime::backend()`, which is

@@ -8,9 +8,10 @@
 // per input vector (array-of-structures), which defeats vectorization.
 #pragma once
 
-#include <cassert>
 #include <cstddef>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "net/network.h"
@@ -48,8 +49,16 @@ class Batch {
   [[nodiscard]] const T* data() const { return data_.data(); }
 
   /// Scatters input vector `in` (indexed by physical wire) into lane `lane`.
+  /// Throws std::invalid_argument, in every build, unless in.size() ==
+  /// width() and lane < batch_size().
   void set_lane(std::size_t lane, std::span<const T> in) {
-    assert(in.size() == width_);
+    if (in.size() != width_ || lane >= batch_size_) {
+      throw std::invalid_argument(
+          "Batch::set_lane: lane " + std::to_string(lane) + " of length " +
+          std::to_string(in.size()) + " for a batch of " +
+          std::to_string(batch_size_) + " lanes of width " +
+          std::to_string(width_));
+    }
     for (std::size_t w = 0; w < width_; ++w) at(w, lane) = in[w];
   }
 
@@ -70,7 +79,8 @@ class Batch {
   std::vector<T> data_;
 };
 
-/// Packs a set of same-width input vectors into a Batch.
+/// Packs a set of same-width input vectors into a Batch. Throws
+/// std::invalid_argument unless every vector's length is `width`.
 template <typename T>
 [[nodiscard]] Batch<T> pack_batch(std::span<const std::vector<T>> inputs,
                                   std::size_t width) {

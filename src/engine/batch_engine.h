@@ -1,24 +1,35 @@
 // Execution entry points for compiled plans.
 //
-// Every entry point runs the same walk: the whole plan over each 256-lane
-// cache block of a lane range, through a (base, row stride) view of
-// lane-major rows. Results are bit-identical to the per-gate interpreters
+// Every entry point runs the same layer walk: the whole plan over each
+// block of a lane range, through a (base, row stride) view of lane-major
+// rows, with the block's lane count fixed at compile time per entry.
+// Results are bit-identical to the per-gate interpreters
 // (sim/comparator_sim.h, sim/count_sim.h) at every lane count:
 //   * one vector is one lane at row stride 1 — a drop-in replacement for
 //     apply_comparators / propagate_counts;
-//   * a Batch of vectors in SoA layout is row stride = batch size, so each
-//     gate's lane loop vectorizes across the batch dimension;
-//   * given a ThreadPool, the lanes are striped into contiguous ranges,
-//     one per pool task, each running the whole plan. No synchronization
-//     is needed between layers, and lane results cannot depend on the
-//     stripe boundaries — determinism is structural.
+//   * a Batch of vectors in SoA layout is row stride = batch size, walked
+//     in 256-lane blocks, so each gate's lane loop vectorizes across the
+//     batch dimension; given a ThreadPool, the lanes are striped into
+//     contiguous ranges, one per pool task;
+//   * plan_sort_batch / plan_count_batch take the input vectors one
+//     64-lane block at a time: each block is packed into a per-thread
+//     buffer (row stride 64), walked through the whole plan and unpacked
+//     into its output vectors while it is still in L1. A full block's lane
+//     loops have a constant trip count. Given a ThreadPool, workers take
+//     blocks from one shared counter until none are left.
+// No synchronization is needed between layers or blocks, and a lane's
+// result cannot depend on which thread ran it — determinism is structural.
+//
+// While a trace records, each thread that walks sums every layer's time
+// over the blocks it ran and records one `engine.layer` event per layer.
 //
 // Comparator entry points use the default descending numeric order (the
 // fast kernels exist precisely because the order is known); callers needing
 // a custom comparator stay on apply_comparators.
 //
 // Every entry throws std::invalid_argument when a vector's length (or a
-// batch's width) differs from plan.width(), in every build.
+// batch's width) differs from plan.width(), in every build; the batched
+// entries check every vector before any work starts.
 #pragma once
 
 #include <span>
@@ -70,11 +81,13 @@ void run_plan_counts_batch(const ExecutionPlan& plan,
                            std::size_t min_lanes_per_task = 64);
 
 // ---------------------------------------------------------------------------
-// Convenience wrappers.
+// Vectors in, vectors out: packed and unpacked one block at a time.
 
-/// Sorts many input vectors at once: packs them into a Batch, runs the plan
-/// (on `pool` if non-null), and returns each lane's values in logical output
-/// order. Each result equals comparator_output_counts(net, inputs[j]).
+/// Sorts many input vectors at once, one 64-lane block at a time (on
+/// `pool`'s workers if non-null, else on the caller), and returns each
+/// vector's values in logical output order. Each result equals
+/// comparator_output_counts(net, inputs[j]). The outputs are allocated on
+/// the calling thread; the block buffers are per-thread and only grow.
 [[nodiscard]] std::vector<std::vector<Count>> plan_sort_batch(
     const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
     ThreadPool* pool = nullptr);

@@ -157,8 +157,9 @@ TEST(EngineCrossCheck, AllEnginesAgreeOnQuiescentOutputs) {
 TEST(EngineCrossCheck, AllBackendsBitIdenticalToScalar) {
   // Randomized sweep over every registered engine backend: for each grid
   // network (K/L/R widths with >2-wide gates, plus the width-2-only
-  // baselines) and a spread of batch sizes — including odd ones and one
-  // past the engine's execution-block size — the batched comparator and
+  // baselines) and a spread of batch sizes — odd ones, both sides of the
+  // packed entries' 64-lane blocks and of the SoA walk's 256-lane blocks,
+  // and one lane past a multiple of both — the batched comparator and
   // count outputs must be bit-identical to the scalar reference backend,
   // lane by lane. This is the contract that makes backend choice a pure
   // performance decision.
@@ -166,7 +167,8 @@ TEST(EngineCrossCheck, AllBackendsBitIdenticalToScalar) {
   Runtime rt;
   for (const Network& net : grid()) {
     const ExecutionPlan plan = compile_plan(net);
-    for (const std::size_t lanes : {1u, 7u, 33u, 257u}) {
+    for (const std::size_t lanes :
+         {1u, 7u, 33u, 63u, 64u, 65u, 127u, 128u, 129u, 257u, 4097u}) {
       std::vector<std::vector<Count>> inputs;
       inputs.reserve(lanes);
       for (std::size_t j = 0; j < lanes; ++j) {
@@ -214,11 +216,12 @@ TEST(EngineCrossCheck, HopAccountingConsistency) {
             static_cast<std::uint64_t>(8 * net.width()) * net.depth());
 }
 
-// The threaded tier stripes a batch's lanes into contiguous ranges, one per
-// pool task, and runs the whole plan on each stripe. Lane results must not
-// depend on where the stripes fall: sweep pool sizes against lane counts
-// that give fewer lanes than workers, ragged last stripes, and stripes that
-// end inside an execution block, at stripe grains from one lane up.
+// Given a pool, the packed entries hand 64-lane blocks to whichever worker
+// asks next, and the in-place tier stripes a batch's lanes into contiguous
+// ranges, one per pool task. Lane results must depend on neither: sweep
+// pool sizes against lane counts that give fewer lanes (or blocks) than
+// workers, both sides of a block boundary, ragged last blocks and stripes
+// that end inside an execution block, at stripe grains from one lane up.
 struct StripeCase {
   std::size_t threads;
   std::size_t lanes;
@@ -234,6 +237,8 @@ TEST_P(ThreadedStriping, BitIdenticalToSerialBatchAndInterpreters) {
   const auto [threads, lanes] = GetParam();
   ThreadPool pool(threads);
   std::mt19937_64 rng(1000 * threads + lanes);
+  // K(2x3x2) has 4- and 6-wide gates: wide balancers for the counts, CE
+  // expansions for the sort.
   for (const Network& net : {make_k_network({2, 3, 2}),
                              make_l_network({3, 2, 2}),
                              make_bitonic_network(3)}) {
@@ -285,6 +290,13 @@ std::vector<StripeCase> stripe_cases() {
   std::vector<StripeCase> out;
   for (const std::size_t threads : {1u, 2u, 3u, 5u}) {
     for (const std::size_t lanes : {1u, 7u, 130u, 600u}) {
+      out.push_back({threads, lanes});
+    }
+  }
+  // Block boundaries: 63 lanes is one block for 8 workers, 4097 is 64 full
+  // blocks and a one-lane remainder.
+  for (const std::size_t threads : {1u, 3u, 8u}) {
+    for (const std::size_t lanes : {63u, 64u, 65u, 127u, 128u, 129u, 4097u}) {
       out.push_back({threads, lanes});
     }
   }

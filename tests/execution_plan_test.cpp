@@ -194,6 +194,28 @@ TEST(ExecutionPlan, ShortVectorInsideABatchThrows) {
   }
 }
 
+TEST(ExecutionPlan, BatchRejectsBadLanesInEveryBuild) {
+  engine::Batch<Count> batch(4, 3);
+  const std::vector<Count> short_in{1, 2, 3};
+  const std::vector<Count> long_in{1, 2, 3, 4, 5};
+  const std::vector<Count> fits{4, 3, 2, 1};
+  EXPECT_THROW(batch.set_lane(0, short_in), std::invalid_argument);
+  EXPECT_THROW(batch.set_lane(0, long_in), std::invalid_argument);
+  EXPECT_THROW(batch.set_lane(3, fits), std::invalid_argument);
+  batch.set_lane(2, fits);
+  EXPECT_EQ(batch.at(0, 2), 4);
+  EXPECT_EQ(batch.at(3, 2), 1);
+
+  std::vector<std::vector<Count>> inputs(5, fits);
+  EXPECT_EQ(engine::pack_batch<Count>(inputs, 4).batch_size(), 5u);
+  inputs[3] = short_in;
+  EXPECT_THROW((void)engine::pack_batch<Count>(inputs, 4),
+               std::invalid_argument);
+  inputs[3] = long_in;
+  EXPECT_THROW((void)engine::pack_batch<Count>(inputs, 4),
+               std::invalid_argument);
+}
+
 TEST(ExecutionPlan, EmptyNetworkCompilesToEmptyPlan) {
   NetworkBuilder b(4);
   const Network net = std::move(b).finish_identity();

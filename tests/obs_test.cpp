@@ -367,7 +367,7 @@ TEST(Trace, EngineLayerSpansTimeTheBlockedWalk) {
   if (!obs::compiled_in()) GTEST_SKIP() << "engine spans compiled out";
   const ExecutionPlan plan = compile_plan(make_l_network({3, 2, 2}));
   const std::size_t depth = plan.depth();
-  constexpr std::size_t kLanes = 600;  // three 256-lane execution blocks
+  constexpr std::size_t kLanes = 600;  // ten 64-lane blocks, the last ragged
   std::mt19937_64 rng(11);
   std::vector<std::vector<Count>> inputs;
   for (std::size_t j = 0; j < kLanes; ++j) {
@@ -412,10 +412,10 @@ TEST(Trace, EngineLayerSpansTimeTheBlockedWalk) {
     EXPECT_TRUE(found) << call;
   }
 
-  // Pool: one event per layer per stripe; each layer's stripes cover every
-  // lane exactly once.
+  // Pool: one event per layer per worker; each layer's workers cover every
+  // lane exactly once between them.
   ThreadPool pool(3);
-  const std::size_t stripes = 3;  // min(pool size, ceil(600 / 64))
+  const std::size_t workers = 3;  // min(pool size, ceil(600 / 64))
   for (const bool sort : {true, false}) {
     const auto events = traced([&] {
       if (sort) {
@@ -425,7 +425,7 @@ TEST(Trace, EngineLayerSpansTimeTheBlockedWalk) {
       }
     });
     const auto layers = with_category(events, "engine.layer");
-    ASSERT_EQ(layers.size(), depth * stripes) << (sort ? "sort" : "count");
+    ASSERT_EQ(layers.size(), depth * workers) << (sort ? "sort" : "count");
     std::map<std::string, std::size_t> lanes_by_layer;
     for (const ExportedEvent& ev : layers) lanes_by_layer[ev.name] += ev.lanes;
     ASSERT_EQ(lanes_by_layer.size(), depth);
@@ -440,6 +440,36 @@ TEST(Trace, EngineLayerSpansTimeTheBlockedWalk) {
   const auto layers = with_category(events, "engine.layer");
   ASSERT_EQ(layers.size(), depth);
   for (const ExportedEvent& ev : layers) EXPECT_EQ(ev.lanes, 1u);
+}
+
+TEST(Trace, PooledPackedWalkRecordsOneLayerSetPerWorker) {
+  // Workers take many blocks each, but each records its per-layer times
+  // summed over its blocks: at most depth x P engine.layer events, however
+  // many blocks the call has.
+  if (!obs::compiled_in()) GTEST_SKIP() << "engine spans compiled out";
+  const ExecutionPlan plan = compile_plan(make_l_network({2, 2, 2, 2}));
+  const std::size_t depth = plan.depth();
+  constexpr std::size_t kLanes = 4097;  // 65 blocks of 64 lanes
+  std::mt19937_64 rng(19);
+  std::vector<std::vector<Count>> inputs;
+  for (std::size_t j = 0; j < kLanes; ++j) {
+    inputs.push_back(random_count_vector(rng, plan.width(), 50));
+  }
+  const auto sorted = plan_sort_batch(plan, inputs);
+  for (const std::size_t threads : {1u, 3u, 8u}) {
+    ThreadPool pool(threads);
+    const auto events = traced(
+        [&] { EXPECT_EQ(plan_sort_batch(plan, inputs, &pool), sorted); });
+    const auto layers = with_category(events, "engine.layer");
+    EXPECT_LE(layers.size(), depth * threads) << threads << " threads";
+    EXPECT_EQ(layers.size() % depth, 0u) << threads << " threads";
+    std::map<std::string, std::size_t> lanes_by_layer;
+    for (const ExportedEvent& ev : layers) lanes_by_layer[ev.name] += ev.lanes;
+    ASSERT_EQ(lanes_by_layer.size(), depth) << threads << " threads";
+    for (const auto& [name, lanes] : lanes_by_layer) {
+      EXPECT_EQ(lanes, kLanes) << name << ", " << threads << " threads";
+    }
+  }
 }
 
 // ---------------------------------------------------------- visit probe
