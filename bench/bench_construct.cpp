@@ -17,8 +17,7 @@
 // The preamble emits BENCH_construct.json and the process exits non-zero
 // if warm construction is not at least kMinWarmSpeedup x faster than the
 // imperative path at every width — CI runs this binary with
-// --benchmark_filter=^$ as a construction-time regression gate, mirroring
-// the bench_passes depth gate.
+// --benchmark_filter=^$ as a construction-time regression gate.
 #include <benchmark/benchmark.h>
 
 #include <chrono>

@@ -8,7 +8,7 @@
 // single-threaded SoA batch on a width >= 24 network.
 //
 // Each (network, backend) row runs on a fresh private Runtime, sends the
-// raw network (PassLevel::kNone) through the engine dispatcher and keeps
+// network's compiled plan through the engine dispatcher and keeps
 // the best of 3 runs; the interpreter row is timed the same way. Rows feed
 // the acceptance gate, so they are measured one at a time.
 //
@@ -71,8 +71,7 @@ double backend_vps(const NetworkCase& c, EngineBackend which) {
   options.backend = which;
   Runtime rt(options);
   const Network net = c.build(rt);
-  const CachedPlan cached = rt.compiled(  // kNone: measure the raw network
-      net, PassLevel::kNone, PassOptions{.semantics = Semantics::kComparator});
+  const CachedPlan cached = rt.compiled(net);
   const auto inputs = bench::random_inputs(net.width(), kBatch, 99);
   const double t = bench::best_time([&] {
     benchmark::DoNotOptimize(

@@ -24,20 +24,14 @@
 //                                            threaded)
 //   scnet_cli sort --engine=plan --batch N   sort N random vectors (SoA
 //                                            batch, backend by dispatch)
-//   scnet_cli sort --engine=plan --passes=none ...  compile the plan
-//                                            without the pass pipeline
-//   scnet_cli optimize [--passes=L] [--semantics=S] < net.scnet
-//                                            run the pass pipeline; stats to
-//                                            stderr, optimized net to stdout
 //   scnet_cli saturate [--shards N] [--threads N] [--tokens N]
 //                      [--schedule KIND] [--factors 2x2x...]
 //                      [--seed S]          drive the sharded counting
 //                                            service and verify counter
 //                                            linearity at quiescence
 //   scnet_cli build --stats K 2x3x5    also report construction time and
-//                                            module-cache counters on stderr
-//   scnet_cli optimize --stats < net.scnet   also report module-cache and
-//                                            plan-cache counters on stderr
+//                                            module-cache and plan-cache
+//                                            counters on stderr
 //
 // Global options (any command, stripped before dispatch):
 //   --metrics            dump the full metrics registry to stderr on exit
@@ -73,7 +67,6 @@
 #include "net/analyze.h"
 #include "net/export.h"
 #include "net/serialize.h"
-#include "opt/pass.h"
 #include "opt/plan_cache.h"
 #include "perf/contention_model.h"
 #include "perf/thread_pool.h"
@@ -107,13 +100,9 @@ int usage() {
                "  scnet_cli count <t0,t1,...> < net.scnet\n"
                "  scnet_cli sort [--engine={interp|plan|auto|scalar|batch|"
                "threaded}] "
-               "[--passes={none|default}] "
                "<v0,v1,...> < net.scnet\n"
                "  scnet_cli sort --engine=plan --batch <N> [--seed <s>] "
                "< net.scnet\n"
-               "  scnet_cli optimize [--stats] "
-               "[--passes={none|default}] "
-               "[--semantics={comparator|balancer}] < net.scnet\n"
                "  scnet_cli saturate [--shards N] [--threads N] [--tokens N]"
                " [--schedule {uniform|bursty|skewed|adversarial}]"
                " [--factors p0xp1x...] [--seed S]\n"
@@ -190,8 +179,8 @@ std::size_t log2_exact(std::size_t w) {
   return k;
 }
 
-// The pinned one-report cache section shared by `build --stats` and
-// `optimize --stats` (cli_test locks the field names and order).
+// The pinned one-report cache section of `build --stats` (cli_test locks
+// the field names and order).
 void print_cache_stats(Runtime& rt) {
   const CacheStatsReport s = cache_stats(rt);
   const std::uint64_t module_total = s.module_hits + s.module_misses;
@@ -276,19 +265,11 @@ int cmd_sort(Runtime& rt, const Network& net, int argc, char** argv) {
   std::string engine = "interp";
   std::size_t batch = 0;
   std::uint64_t seed = 42;
-  PassLevel passes = PassLevel::kDefault;
   std::string values_arg;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--engine=", 0) == 0) {
       engine = arg.substr(9);
-    } else if (arg.rfind("--passes=", 0) == 0) {
-      const auto parsed = parse_pass_level(arg.substr(9));
-      if (!parsed) {
-        std::fprintf(stderr, "unknown pass level '%s'\n", arg.c_str() + 9);
-        return 2;
-      }
-      passes = *parsed;
     } else if ((arg == "--batch" || arg == "--seed") && i + 1 < argc) {
       const auto value = whole_arg("sort", arg.c_str(), argv[++i]);
       if (!value) return 2;
@@ -318,10 +299,6 @@ int cmd_sort(Runtime& rt, const Network& net, int argc, char** argv) {
       return 2;
     }
   }
-  const auto plan_for_net = [&] {
-    return rt.compiled(net, passes,
-                       PassOptions{.semantics = Semantics::kComparator});
-  };
   const EngineBackend backend_choice = forced ? *forced : rt.backend();
 
   if (batch > 0) {
@@ -332,7 +309,7 @@ int cmd_sort(Runtime& rt, const Network& net, int argc, char** argv) {
       std::fprintf(stderr, "--batch requires --engine=plan\n");
       return 2;
     }
-    const CachedPlan cached = plan_for_net();
+    const CachedPlan cached = rt.compiled(net);
     const ExecutionPlan& plan = *cached.plan;
     std::mt19937_64 rng(seed);
     std::vector<std::vector<Count>> inputs;
@@ -367,7 +344,7 @@ int cmd_sort(Runtime& rt, const Network& net, int argc, char** argv) {
   if (engine == "interp") {
     out = comparator_output_counts(net, in);
   } else {
-    const CachedPlan cached = plan_for_net();
+    const CachedPlan cached = rt.compiled(net);
     out = scn::engine::sorted_output(*cached.plan, in, backend_choice);
   }
   std::printf("%s\n", format_sequence(out).c_str());
@@ -427,50 +404,6 @@ int cmd_export(const Network& net, int argc, char** argv) {
     return 2;
   }
   std::fputs(to_dot(net, opts).c_str(), stdout);
-  return 0;
-}
-
-int cmd_optimize(Runtime& rt, const Network& net, int argc, char** argv) {
-  PassLevel passes = PassLevel::kDefault;
-  PassOptions opts;
-  bool stats = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--stats") {
-      stats = true;
-    } else if (arg.rfind("--passes=", 0) == 0) {
-      const auto parsed = parse_pass_level(arg.substr(9));
-      if (!parsed) {
-        std::fprintf(stderr, "unknown pass level '%s'\n", arg.c_str() + 9);
-        return 2;
-      }
-      passes = *parsed;
-    } else if (arg == "--semantics=comparator") {
-      opts.semantics = Semantics::kComparator;
-    } else if (arg == "--semantics=balancer") {
-      opts.semantics = Semantics::kBalancer;
-    } else {
-      std::fprintf(stderr, "unknown optimize option %s\n", arg.c_str());
-      return 2;
-    }
-  }
-  const PipelineResult result = optimize_network(net, passes, opts);
-  std::fprintf(stderr, "pipeline %s (%s semantics)\n%s", to_string(passes),
-               to_string(opts.semantics), result.summary().c_str());
-  std::fprintf(stderr,
-               "total: gates %zu -> %zu, depth %u -> %u, hash %016llx\n",
-               net.gate_count(), result.network.gate_count(), net.depth(),
-               result.network.depth(),
-               static_cast<unsigned long long>(
-                   structural_hash(result.network)));
-  if (stats) {
-    // Route the same (network, pipeline) pair through the runtime's plan
-    // cache so the report reflects this invocation, then print the unified
-    // module-cache + plan-cache section.
-    (void)rt.compiled(net, passes, opts);
-    print_cache_stats(rt);
-  }
-  std::fputs(serialize_network(result.network).c_str(), stdout);
   return 0;
 }
 
@@ -591,7 +524,7 @@ int dispatch(Runtime& rt, int argc, char** argv) {
   // blocking on (or failing to parse) stdin.
   static constexpr std::string_view kNetworkCommands[] = {
       "info",    "dot",   "ascii", "svg",    "analyze",
-      "verify",  "count", "sort",  "export", "optimize"};
+      "verify",  "count", "sort",  "export"};
   if (std::find(std::begin(kNetworkCommands), std::end(kNetworkCommands),
                 cmd) == std::end(kNetworkCommands)) {
     return usage();
@@ -660,7 +593,6 @@ int dispatch(Runtime& rt, int argc, char** argv) {
   }
   if (cmd == "sort") return cmd_sort(rt, net, argc, argv);
   if (cmd == "export") return cmd_export(net, argc, argv);
-  if (cmd == "optimize") return cmd_optimize(rt, net, argc, argv);
   return usage();
 }
 

@@ -62,9 +62,7 @@ Sorter::Sorter(std::size_t width, Options options)
 
 Sorter::Sorter(std::size_t width, Options /*options*/, Runtime& rt)
     : net_(make_batcher_network(width)) {
-  const CachedPlan cached =
-      rt.compiled(net_, PassOptions{.semantics = Semantics::kComparator});
-  plan_ = cached.plan;
+  plan_ = rt.compiled(net_).plan;
   backend_ = rt.backend();
 }
 

@@ -12,8 +12,8 @@
 // but its compare-exchange (CE) expansion, so the L member's small depth
 // does not make it cheaper: over w = 2..128 Batcher never runs more CEs and
 // runs fewer at 93 of the 127 widths (EXPERIMENTS.md E21; at w = 64, 543
-// against 1,084). The network is compiled once through the pass pipeline
-// (opt/pass.h, the default level) and every sort() call walks it on a
+// against 1,084). The network is compiled once, as constructed, through
+// the runtime's plan cache and every sort() call walks it on a
 // per-thread scratch buffer, allocating nothing. Counter wraps
 // NetworkCounter over the L member (make_network_for_width): Batcher is not
 // a counting network.
@@ -37,10 +37,10 @@ class ExecutionPlan;
 class Runtime;  // runtime/runtime.h — runtime-scoped overloads below
 
 /// Everything the default runtime's MetricsRegistry currently holds, sorted
-/// by name: engine run counters, pass pipeline counters/histograms, cache
-/// hit/miss counters and entry gauges, concurrent-sim token counts. See
+/// by name: engine run counters and histograms, cache hit/miss counters
+/// and entry gauges, concurrent-sim token counts. See
 /// docs/observability.md for the metric name inventory. Works in every
-/// build: the cache metrics are always live; the hot-path engine/pass
+/// build: the cache metrics are always live; the hot-path engine/sim
 /// counters only advance when compiled in (obs::compiled_in()).
 /// The Runtime overload snapshots that runtime's registry instead — for a
 /// private Runtime this holds just its own `module_cache.*` /
@@ -57,7 +57,7 @@ using obs::TraceSession;
 
 /// One snapshot of a runtime's two caches: the module cache (interned
 /// construction templates stamped by the src/core builders) and the plan
-/// cache (compiled ExecutionPlans keyed on structural hash + pipeline).
+/// cache (compiled ExecutionPlans keyed on structural hash).
 /// Mirrors ModuleCacheStats / PlanCacheStats as plain fields so this header
 /// stays free of the opt/ and core/ cache headers. Since the observability
 /// layer landed, every runtime's caches publish through its MetricsRegistry
@@ -109,10 +109,10 @@ class Sorter {
   Sorter(std::size_t width, Options options, Runtime& rt);
 
   [[nodiscard]] std::size_t width() const { return net_.width(); }
-  /// The network as constructed (pre-pipeline): Batcher's odd-even
-  /// mergesort on width() wires.
+  /// The network as constructed: Batcher's odd-even mergesort on width()
+  /// wires.
   [[nodiscard]] const Network& network() const { return net_; }
-  /// The pass-optimized compiled plan sort() executes.
+  /// The compiled plan of network() that sort() executes.
   [[nodiscard]] const ExecutionPlan& plan() const;
 
   /// Sorts exactly width() values ascending, in place; throws

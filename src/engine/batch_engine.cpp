@@ -12,7 +12,6 @@
 #include "engine/kernels.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "opt/pass.h"
 
 namespace scn {
 namespace {

@@ -13,7 +13,7 @@ ExecutionPlan compile_plan(const Network& net) {
   plan.gate_count_ = net.gate_count();
   plan.output_order_.assign(net.output_order().begin(),
                             net.output_order().end());
-  const auto by_layer = net.layers();
+  const auto by_layer = net.canonical_layers();
   plan.layers_.reserve(by_layer.size());
   for (const auto& layer_gates : by_layer) {
     ExecutionPlan::Layer layer;

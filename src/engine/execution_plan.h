@@ -9,7 +9,10 @@
 // vectorizing/parallel runtime needs.
 //
 // compile_plan() lowers a Network into that form once:
-//   * gates are bucketed by ASAP layer (layer count == Network::depth());
+//   * gates are bucketed by ASAP layer (layer count == Network::depth())
+//     and ordered within each layer by minimum wire
+//     (Network::canonical_layers()), so networks that differ only in the
+//     order of independent gates compile to identical plans;
 //   * within each layer, width-2 gates — the overwhelmingly common case for
 //     sorting networks — are flattened into a contiguous (hi, lo) wire-pair
 //     table driven by a branchless min/max kernel;
@@ -35,6 +38,12 @@
 #include "net/network.h"
 
 namespace scn {
+
+/// Which gate algebra a plan walk applies: the same plan drives both.
+enum class Semantics : std::uint8_t {
+  kComparator,  ///< gates sort their wires descending (sorting networks)
+  kBalancer,    ///< gates redistribute quiescent token counts (counting)
+};
 
 class ExecutionPlan {
  public:

@@ -224,6 +224,23 @@ std::vector<std::vector<std::size_t>> Network::layers() const {
   return out;
 }
 
+std::vector<std::vector<std::size_t>> Network::canonical_layers() const {
+  auto out = layers();
+  // Gates in one layer touch disjoint wires, so their minimum wires are
+  // distinct and the order is total.
+  const auto min_wire = [this](std::size_t gi) {
+    const auto ws = gate_wires(gi);
+    return *std::min_element(ws.begin(), ws.end());
+  };
+  for (auto& layer : out) {
+    std::sort(layer.begin(), layer.end(),
+              [&](std::size_t a, std::size_t b) {
+                return min_wire(a) < min_wire(b);
+              });
+  }
+  return out;
+}
+
 std::vector<Wire> identity_order(std::size_t w) {
   std::vector<Wire> out(w);
   std::iota(out.begin(), out.end(), Wire{0});

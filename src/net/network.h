@@ -157,6 +157,12 @@ class Network {
   /// Gates grouped by layer: result[l] lists gate indices with layer l+1.
   [[nodiscard]] std::vector<std::vector<std::size_t>> layers() const;
 
+  /// layers() with each layer ordered by its gates' minimum wire: the
+  /// canonical order compile_plan() and structural_hash() share, so two
+  /// networks that differ only in the order of independent gates compile
+  /// to the same plan and hash alike.
+  [[nodiscard]] std::vector<std::vector<std::size_t>> canonical_layers() const;
+
  private:
   friend class NetworkBuilder;
 

@@ -25,7 +25,7 @@
 //
 // Naming scheme (docs/observability.md): `<subsystem>.<object>.<event>`,
 // lower_snake_case, e.g. `engine.run.batch`, `plan_cache.misses`,
-// `opt.pass.micros` (histogram names end in their unit).
+// `engine.batch.lanes` (histogram names end in their unit).
 #pragma once
 
 #include <array>

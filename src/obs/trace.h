@@ -37,7 +37,7 @@ struct TraceEvent {
 /// Thread-safe, process-wide trace-event collector.
 ///
 /// Recording is mutex-protected: spans close at most a few times per
-/// layer / pass / run, so the lock is far off the per-gate hot path.
+/// layer / call / run, so the lock is far off the per-gate hot path.
 /// The buffer is capped (events beyond the cap are counted as dropped,
 /// not stored) so a forgotten session cannot grow without bound.
 class Tracer {
@@ -59,7 +59,7 @@ class Tracer {
   void clear();
 
   /// Records a complete event with an externally measured interval
-  /// (e.g. PassManager's own pass timings). `start_ns` is relative to
+  /// (e.g. the engine's per-layer walk times). `start_ns` is relative to
   /// the tracer's start instant; use now_ns() to sample it. No-op when
   /// inactive.
   void record_complete(std::string_view name, std::string_view category,

@@ -18,18 +18,9 @@ std::uint64_t structural_hash(const Network& net) {
   std::uint64_t h = fnv::kOffset;
   fnv::mix(h, net.width());
   fnv::mix(h, net.gate_count());
-  for (const auto& layer : net.layers()) {
-    // Canonical within-layer order: gates in one ASAP layer touch disjoint
-    // wires, so minimum wire ids are distinct and sort stably.
-    std::vector<std::pair<Wire, std::size_t>> order;
-    order.reserve(layer.size());
-    for (const std::size_t gi : layer) {
-      const auto ws = net.gate_wires(gi);
-      order.emplace_back(*std::min_element(ws.begin(), ws.end()), gi);
-    }
-    std::sort(order.begin(), order.end());
+  for (const auto& layer : net.canonical_layers()) {
     fnv::mix(h, 0x4c41594552ull);  // layer separator
-    for (const auto& [min_wire, gi] : order) {
+    for (const std::size_t gi : layer) {
       const auto ws = net.gate_wires(gi);
       fnv::mix(h, ws.size());
       for (const Wire w : ws) fnv::mix(h, static_cast<std::uint64_t>(w));
@@ -47,8 +38,6 @@ struct Key {
   std::uint64_t hash = 0;
   std::uint64_t width = 0;
   std::uint64_t gates = 0;
-  PassLevel level = PassLevel::kNone;
-  Semantics semantics = Semantics::kComparator;
 
   bool operator==(const Key&) const = default;
 };
@@ -58,8 +47,6 @@ struct KeyHash {
     std::uint64_t h = k.hash;
     fnv::mix(h, k.width);
     fnv::mix(h, k.gates);
-    fnv::mix(h, static_cast<std::uint64_t>(k.level));
-    fnv::mix(h, static_cast<std::uint64_t>(k.semantics));
     return static_cast<std::size_t>(h);
   }
 };
@@ -67,7 +54,6 @@ struct KeyHash {
 struct Entry {
   Key key;
   std::shared_ptr<const ExecutionPlan> plan;
-  std::shared_ptr<const std::vector<PassStats>> passes;
 };
 
 }  // namespace
@@ -134,35 +120,22 @@ PlanCache::PlanCache(std::size_t capacity, const char* metric_prefix,
 
 PlanCache::~PlanCache() = default;
 
-CachedPlan PlanCache::compiled(const Network& net, PassLevel level,
-                               const PassOptions& opts) {
-  Key key;
-  key.hash = structural_hash(net);
-  key.width = net.width();
-  key.gates = net.gate_count();
-  key.level = level;
-  key.semantics = opts.semantics;
-
+CachedPlan PlanCache::compiled(const Network& net) {
+  const Key key{structural_hash(net), net.width(), net.gate_count()};
   const std::lock_guard<std::mutex> lock(impl_->mu);
   if (const auto it = impl_->index.find(key); it != impl_->index.end()) {
     impl_->lru.splice(impl_->lru.begin(), impl_->lru, it->second);
     impl_->hits->add(1);
-    return {it->second->plan, it->second->passes, true};
+    return {it->second->plan, nullptr, true};
   }
 
-  // Miss: optimize + lower under the lock. Compilation is O(gates +
-  // endpoints); serializing it avoids duplicate work when many threads
-  // race for the same network, which is the common shape (one network,
-  // many evaluators).
+  // Miss: lower under the lock. Compilation is O(gates + endpoints);
+  // serializing it avoids duplicate work when many threads race for the
+  // same network, which is the common shape (one network, many
+  // evaluators).
   impl_->misses->add(1);
-  PipelineResult optimized = optimize_network(net, level, opts);
-  Entry entry;
-  entry.key = key;
-  entry.plan = std::make_shared<const ExecutionPlan>(
-      compile_plan(optimized.network));
-  entry.passes = std::make_shared<const std::vector<PassStats>>(
-      std::move(optimized.passes));
-  impl_->lru.push_front(std::move(entry));
+  impl_->lru.push_front(
+      {key, std::make_shared<const ExecutionPlan>(compile_plan(net))});
   impl_->index[key] = impl_->lru.begin();
   if (impl_->lru.size() > impl_->capacity) {
     impl_->index.erase(impl_->lru.back().key);
@@ -170,8 +143,7 @@ CachedPlan PlanCache::compiled(const Network& net, PassLevel level,
     impl_->evictions->add(1);
   }
   impl_->publish_entries();
-  const Entry& front = impl_->lru.front();
-  return {front.plan, front.passes, false};
+  return {impl_->lru.front().plan, nullptr, false};
 }
 
 PlanCacheStats PlanCache::stats() const {
@@ -206,9 +178,8 @@ PlanCache& PlanCache::shared() {
   return *cache;
 }
 
-CachedPlan compiled_plan(const Network& net, PassLevel level,
-                         const PassOptions& opts) {
-  return PlanCache::shared().compiled(net, level, opts);
+CachedPlan compiled_plan(const Network& net) {
+  return PlanCache::shared().compiled(net);
 }
 
 }  // namespace scn

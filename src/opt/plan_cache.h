@@ -1,19 +1,19 @@
 // Canonical structural hashing + an LRU cache of compiled ExecutionPlans.
 //
 // Repeated evaluation of the same network — verifier sweeps, CLI batch
-// mode, benchmark loops, every Sorter of a given width — used to re-run
-// the pass pipeline and re-lower the plan each time. The cache keys a
-// compiled (and pass-optimized) plan on the network's canonical structural
-// hash plus the pipeline configuration, so the second and later lookups
-// cost one O(gates) hash instead of a full optimize + compile.
+// mode, benchmark loops, every Sorter of a given width — would otherwise
+// re-lower the plan each time. The cache keys a compiled plan on the
+// network's canonical structural hash, so the second and later lookups
+// cost one O(gates) hash instead of a compile.
 //
-// The hash is canonical over the relayer pass's normal form: gates are
-// folded layer-major, ordered within each layer by minimum wire, so two
-// structurally identical networks hash identically no matter what order
-// their builders appended independent gates in. Keys also carry width and
-// gate count; a residual 64-bit collision between distinct networks is
-// possible in principle and accepted (the cache is an optimization layer —
-// callers needing proof-grade identity compare serializations).
+// The hash is canonical over the order compile_plan() emits
+// (Network::canonical_layers()): gates are folded layer-major, ordered
+// within each layer by minimum wire, so two structurally identical networks
+// hash identically no matter what order their builders appended
+// independent gates in. Keys also carry width and gate count; a residual
+// 64-bit collision between distinct networks is possible in principle and
+// accepted (the cache is an optimization layer — callers needing
+// proof-grade identity compare serializations).
 #pragma once
 
 #include <cstdint>
@@ -22,7 +22,6 @@
 
 #include "engine/execution_plan.h"
 #include "net/network.h"
-#include "opt/pass.h"
 
 namespace scn {
 
@@ -42,12 +41,23 @@ struct PlanCacheStats {
   std::size_t capacity = 0;
 };
 
-/// A cached compilation: the plan, the pass provenance that produced it,
-/// and whether this particular lookup hit. Plans are shared_ptr so
-/// eviction never invalidates a caller still holding one.
+// scbench/main.cpp reads PassOptions, PassStats and CachedPlan::passes.
+// The plan depends on none of them, and they go with the next change to
+// the benchmark definition.
+struct PassOptions {
+  Semantics semantics = Semantics::kComparator;
+};
+struct PassStats {
+  std::size_t gates_after = 0;
+  std::uint32_t depth_after = 0;
+};
+
+/// A cached compilation: the plan and whether this particular lookup hit.
+/// Plans are shared_ptr so eviction never invalidates a caller still
+/// holding one.
 struct CachedPlan {
   std::shared_ptr<const ExecutionPlan> plan;
-  std::shared_ptr<const std::vector<PassStats>> passes;
+  std::shared_ptr<const std::vector<PassStats>> passes;  ///< always null
   bool hit = false;
 };
 
@@ -71,12 +81,10 @@ class PlanCache {
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  /// Returns the compiled plan for `net` after the `level` pipeline under
-  /// `opts`, compiling (and caching) on miss. Thread-safe. The plan is the
-  /// same under every engine backend, so callers pick the backend at
-  /// dispatch time (Runtime::backend()), not here.
-  [[nodiscard]] CachedPlan compiled(const Network& net, PassLevel level,
-                                    const PassOptions& opts = {});
+  /// Returns the compiled plan for `net`, compiling (and caching) on miss.
+  /// Thread-safe. The plan is the same under every engine backend and
+  /// both semantics, so callers pick those at dispatch time, not here.
+  [[nodiscard]] CachedPlan compiled(const Network& net);
 
   [[nodiscard]] PlanCacheStats stats() const;
 
@@ -95,8 +103,7 @@ class PlanCache {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Shorthand for PlanCache::shared().compiled(net, level, opts).
-[[nodiscard]] CachedPlan compiled_plan(const Network& net, PassLevel level,
-                                       const PassOptions& opts = {});
+/// Shorthand for PlanCache::shared().compiled(net).
+[[nodiscard]] CachedPlan compiled_plan(const Network& net);
 
 }  // namespace scn

@@ -81,13 +81,12 @@ ThreadPool& Runtime::pool() {
 
 EngineBackend Runtime::backend() const { return impl_->backend; }
 
-CachedPlan Runtime::compiled(const Network& net, const PassOptions& opts) {
-  return impl_->plans->compiled(net, PassLevel::kDefault, opts);
+CachedPlan Runtime::compiled(const Network& net) {
+  return impl_->plans->compiled(net);
 }
 
-CachedPlan Runtime::compiled(const Network& net, PassLevel level,
-                             const PassOptions& opts) {
-  return impl_->plans->compiled(net, level, opts);
+CachedPlan Runtime::compiled(const Network& net, const PassOptions&) {
+  return compiled(net);
 }
 
 void Runtime::clear_caches() {

@@ -36,14 +36,12 @@
 #include <memory>
 #include <optional>
 
-#include "opt/pass.h"
+#include "opt/plan_cache.h"
 
 namespace scn {
 
 class ModuleCache;
-class PlanCache;
 class ThreadPool;
-struct CachedPlan;
 
 // Opaque redeclaration of core/cost_model.h's backend enum: this header
 // sits below core/ in the include graph (core constructors take Runtime&),
@@ -93,7 +91,7 @@ class Runtime {
   [[nodiscard]] PlanCache& plan_cache();
   /// The registry this runtime's caches publish statistics into. For
   /// shared() this is the process-wide registry (which additionally holds
-  /// the macro-instrumented engine/pass/sim counters).
+  /// the macro-instrumented engine/sim counters).
   [[nodiscard]] obs::MetricsRegistry& metrics();
   /// This runtime's worker pool, created on first use (shared() hands out
   /// the process-wide pool).
@@ -105,14 +103,12 @@ class Runtime {
   /// per call.
   [[nodiscard]] EngineBackend backend() const;
 
-  /// Compiles (or fetches) the plan for `net` through THIS runtime's plan
-  /// cache at PassLevel::kDefault; the explicit-level overload lets a
-  /// caller run the network as constructed (kNone). Runtime-scoped
-  /// equivalent of compiled_plan().
-  [[nodiscard]] CachedPlan compiled(const Network& net,
-                                    const PassOptions& opts = {});
-  [[nodiscard]] CachedPlan compiled(const Network& net, PassLevel level,
-                                    const PassOptions& opts = {});
+  /// Compiles (or fetches) the plan for `net`, as constructed, through
+  /// THIS runtime's plan cache. Runtime-scoped equivalent of
+  /// compiled_plan().
+  [[nodiscard]] CachedPlan compiled(const Network& net);
+  /// Forwards to compiled(net) for scbench, which still passes options.
+  [[nodiscard]] CachedPlan compiled(const Network& net, const PassOptions&);
 
   /// Empties both caches and resets their registry counters with each
   /// purge (a metrics snapshot racing this never observes hits for entries

@@ -38,8 +38,6 @@
 #include "obs/metrics.h"                // IWYU pragma: export
 #include "obs/trace.h"                  // IWYU pragma: export
 #include "opt/expand.h"                 // IWYU pragma: export
-#include "opt/pass.h"                   // IWYU pragma: export
-#include "opt/passes.h"                 // IWYU pragma: export
 #include "opt/plan_cache.h"             // IWYU pragma: export
 #include "perf/contention_model.h"      // IWYU pragma: export
 #include "perf/thread_pool.h"           // IWYU pragma: export

@@ -241,8 +241,7 @@ ShardManager::LinearityReport ShardManager::verify_linearity() const {
       // on the total, so the dispatched count engine must reproduce the
       // concurrent traversal's counts exactly, whatever backend resolves.
       Shard& shard = *shards_[j];
-      const CachedPlan cached = shard.runtime.compiled(
-          shard.network, PassOptions{.semantics = Semantics::kBalancer});
+      const CachedPlan cached = shard.runtime.compiled(shard.network);
       std::vector<Count> in(shard.network.width());
       for (std::size_t w = 0; w < in.size(); ++w) {
         in[w] = static_cast<Count>(ceil_share(routed, w, in.size()));

@@ -15,8 +15,7 @@ std::vector<Count> comparator_output_counts(const Network& net,
 std::vector<Count> network_sort_ascending(const Network& net,
                                           std::span<const Count> values,
                                           Runtime& rt) {
-  const CachedPlan cached =
-      rt.compiled(net, PassOptions{.semantics = Semantics::kComparator});
+  const CachedPlan cached = rt.compiled(net);
   std::vector<Count> out =
       engine::sorted_output(*cached.plan, values, rt.backend());
   std::reverse(out.begin(), out.end());

@@ -66,12 +66,12 @@ template <typename T, typename Greater = std::greater<T>>
 /// Sorts `values` ascending using the network (reverses the descending
 /// network output). The network width must equal values.size().
 ///
-/// This is the product sort path: it routes through `rt`'s pass level and
-/// plan cache (opt/plan_cache.h), so repeated sorts on one network reuse
-/// an optimized compiled plan. Bit-identical to the per-gate interpreter
-/// (comparator_output_counts + reverse) by the pipeline's soundness
-/// guarantees; use the interpreter directly for custom orderings or
-/// gate-stepping.
+/// This is the product sort path: it routes through `rt`'s plan cache
+/// (opt/plan_cache.h), so repeated sorts on one network reuse one compiled
+/// plan. Bit-identical to the per-gate interpreter
+/// (comparator_output_counts + reverse), because a plan only regroups
+/// independent gates into layers; use the interpreter directly for custom
+/// orderings or gate-stepping.
 [[nodiscard]] std::vector<Count> network_sort_ascending(
     const Network& net, std::span<const Count> values,
     Runtime& rt = Runtime::shared());

@@ -124,44 +124,4 @@ SortingVerdict fast_verify_sorting_exhaustive(const Network& net) {
   return verdict;
 }
 
-std::vector<bool> zero_one_noop_gates(const Network& net) {
-  const std::size_t w = net.width();
-  assert(w <= 26 && "exhaustive 0-1 sweep limited to 2^26 inputs");
-  std::vector<bool> noop(net.gate_count(), true);
-  if (net.gate_count() == 0) return noop;
-  std::size_t candidates = net.gate_count();
-
-  const std::array<Word, 6> pattern = low_bit_patterns();
-  const std::uint64_t total = std::uint64_t{1} << w;
-  const std::uint64_t chunks = (total + 63) / 64;
-  std::vector<Word> masks(w);
-  std::vector<Word> fresh;
-  // For w < 6 the extra lanes of the single chunk replay valid inputs
-  // (the low-bit patterns are periodic in 2^w), so a gate firing there
-  // also fires on the matching valid lane — no validity mask needed.
-  for (std::uint64_t chunk = 0; chunk < chunks && candidates > 0; ++chunk) {
-    load_chunk(chunk * 64, pattern, masks);
-    for (std::size_t gi = 0; gi < net.gate_count(); ++gi) {
-      const auto ws = net.gate_wires(gi);
-      SlicedCount count;
-      for (const Wire wire : ws) {
-        count.add_one_bit(masks[static_cast<std::size_t>(wire)]);
-      }
-      fresh.clear();
-      for (std::size_t i = 0; i < ws.size(); ++i) {
-        fresh.push_back(count.at_least(static_cast<unsigned>(i) + 1));
-      }
-      for (std::size_t i = 0; i < ws.size(); ++i) {
-        const auto wire = static_cast<std::size_t>(ws[i]);
-        if (noop[gi] && fresh[i] != masks[wire]) {
-          noop[gi] = false;
-          candidates -= 1;
-        }
-        masks[wire] = fresh[i];
-      }
-    }
-  }
-  return noop;
-}
-
 }  // namespace scn

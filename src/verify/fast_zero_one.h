@@ -19,13 +19,4 @@ namespace scn {
 /// net.width() <= 26.
 [[nodiscard]] SortingVerdict fast_verify_sorting_exhaustive(const Network& net);
 
-/// result[g] == true iff gate g is the IDENTITY on every 0-1 input — it
-/// never reorders its wires on any of the 2^w binary vectors. By the 0-1
-/// principle (comparators commute with monotone maps) such a gate is the
-/// identity on arbitrary values too, so it is dead under COMPARATOR
-/// semantics; under balancer semantics it still moves tokens. Same
-/// bit-sliced sweep and width <= 26 requirement as the exhaustive verifier;
-/// the sweep exits early once every gate has been seen to fire.
-[[nodiscard]] std::vector<bool> zero_one_noop_gates(const Network& net);
-
 }  // namespace scn

@@ -19,12 +19,10 @@ CountingVerdict verify_counting_parallel(const Network& net,
   const Count max_total = opts.base.max_total > 0
                               ? opts.base.max_total
                               : static_cast<Count>(3 * w + 7);
-  // Count propagation goes through the pass pipeline and the runtime's
-  // plan cache under BALANCER semantics (comparator-only passes skip
-  // themselves), so repeated verifications of one network lower it once
-  // and every input vector rides the layer-scheduled kernels.
-  const CachedPlan cached =
-      rt.compiled(net, PassOptions{.semantics = Semantics::kBalancer});
+  // Count propagation goes through the runtime's plan cache, so repeated
+  // verifications of one network lower it once and every input vector
+  // rides the layer-scheduled kernels.
+  const CachedPlan cached = rt.compiled(net);
   const ExecutionPlan& plan = *cached.plan;
 
   std::mutex mu;

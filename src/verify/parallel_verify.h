@@ -3,8 +3,8 @@
 // Verification sweeps are embarrassingly parallel across input vectors:
 // shard the (total, trial) grid over the shared scn::ThreadPool
 // (perf/thread_pool.h), propagate counts through a compiled ExecutionPlan
-// obtained from the pass pipeline + shared plan cache (opt/plan_cache.h,
-// balancer semantics), and reduce verdicts. On a many-core host this
+// obtained from the runtime's plan cache (opt/plan_cache.h), and reduce
+// verdicts. On a many-core host this
 // turns the heavy sweeps (wide networks, deep totals) from minutes into
 // seconds; results are bit-identical to the sequential verifier by
 // construction (same seeds per shard, plan kernels bit-identical to the

@@ -196,46 +196,19 @@ TEST(Cli, SvgIsEmitted) {
   EXPECT_NE(r.output.find("<svg"), std::string::npos);
 }
 
-TEST(Cli, OptimizeReportsPassStatsAndKeepsMinimalNetworkIntact) {
-  // bubble(6) has no 0-1-redundant comparators, so the default pipeline
-  // keeps all 15 gates — but still reports per-pass provenance. (It sorts
-  // but does not count, so verify exits 1 exactly as for the raw network.)
-  // Subshell so the middle command's stderr (the pass stats) is captured
-  // alongside verify's stdout.
-  const auto r = run_command("( " + kCli + " build bubble 6 | " + kCli +
-                             " optimize --passes=default | " + kCli +
-                             " verify )");
-  EXPECT_EQ(r.exit_code, 1) << r.output;
-  EXPECT_NE(r.output.find("relayer"), std::string::npos);
-  EXPECT_NE(r.output.find("zero-one-elim"), std::string::npos);
-  EXPECT_NE(r.output.find("total: gates 15 -> 15"), std::string::npos);
-  EXPECT_NE(r.output.find("sorting (0-1 exhaustive): PASS"),
-            std::string::npos);
-}
-
-TEST(Cli, OptimizeBalancerSemanticsPreservesCounting) {
-  const auto r = run_command(kCli + " build K 2x3 | " + kCli +
-                             " optimize --semantics=balancer | " + kCli +
-                             " verify");
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("counting: PASS"), std::string::npos);
-}
-
-TEST(Cli, SortAcceptsPassesFlag) {
+TEST(Cli, SortPlanEngineMatchesInterpreterOnBatcher) {
   const std::string build = kCli + " build batcher 8";
   const auto plain = run_command(build + " | " + kCli + " sort 5,3,8,1,9,2,7,4");
   EXPECT_EQ(plain.exit_code, 0);
-  for (const char* level : {"none", "default"}) {
-    const auto opt = run_command(build + " | " + kCli +
-                                 " sort --engine=plan --passes=" + level +
-                                 " 5,3,8,1,9,2,7,4");
-    EXPECT_EQ(opt.exit_code, 0) << level << ": " << opt.output;
-    EXPECT_EQ(plain.output, opt.output) << level;
-  }
-  const auto unknown = run_command(build + " | " + kCli +
-                                   " sort --engine=plan --passes=aggressive "
+  const auto plan = run_command(build + " | " + kCli +
+                                " sort --engine=plan 5,3,8,1,9,2,7,4");
+  EXPECT_EQ(plan.exit_code, 0) << plan.output;
+  EXPECT_EQ(plain.output, plan.output);
+  // The plan is compiled as constructed: there is no pass-level flag.
+  const auto removed = run_command(build + " | " + kCli +
+                                   " sort --engine=plan --passes=none "
                                    "5,3,8,1,9,2,7,4");
-  EXPECT_EQ(unknown.exit_code, 2) << unknown.output;
+  EXPECT_EQ(removed.exit_code, 2) << removed.output;
 }
 
 TEST(Cli, BuildStatsReportsConstructionAndModuleCache) {
@@ -263,14 +236,10 @@ TEST(Cli, BuildWithoutStatsStaysQuiet) {
   EXPECT_EQ(r.output.find("build:"), std::string::npos);
 }
 
-TEST(Cli, OptimizeStatsReportsBothCachesInOneReport) {
-  const auto r = run_command(kCli + " build K 2x3 | " + kCli +
-                             " optimize --stats");
+TEST(Cli, BuildStatsReportsBothCachesInOneReport) {
+  const auto r = run_command(kCli + " build --stats K 2x3");
   EXPECT_EQ(r.exit_code, 0) << r.output;
-  // Pass provenance (the pre-existing report) is still there...
-  EXPECT_NE(r.output.find("pipeline "), std::string::npos);
-  EXPECT_NE(r.output.find("total: gates "), std::string::npos);
-  // ...followed by the unified cache report, module cache first.
+  // One unified cache report, module cache first.
   const auto module_pos = r.output.find("module-cache: hits ");
   const auto plan_pos = r.output.find("plan-cache: hits ");
   ASSERT_NE(module_pos, std::string::npos);
@@ -278,9 +247,8 @@ TEST(Cli, OptimizeStatsReportsBothCachesInOneReport) {
   EXPECT_LT(module_pos, plan_pos);
   EXPECT_NE(r.output.find(" evictions "), std::string::npos);
   EXPECT_NE(r.output.find(" capacity "), std::string::npos);
-  // optimize --stats routes the pipeline through the shared plan cache, so
-  // this fresh process records exactly one plan compilation.
-  EXPECT_NE(r.output.find("plan-cache: hits 0 misses 1"), std::string::npos);
+  // build constructs a network but compiles no plan.
+  EXPECT_NE(r.output.find("plan-cache: hits 0 misses 0"), std::string::npos);
 }
 
 TEST(Cli, MetricsDumpsRegistrySortedWithCacheMetricsAlwaysPresent) {
@@ -302,7 +270,7 @@ TEST(Cli, MetricsDumpsRegistrySortedWithCacheMetricsAlwaysPresent) {
   EXPECT_NE(r.output.find("  plan_cache.misses = 0"), std::string::npos);
 }
 
-TEST(Cli, MetricsSeesEngineAndPassCountersWhenCompiledIn) {
+TEST(Cli, MetricsSeesEngineCountersWhenCompiledIn) {
   const auto r = run_command(kCli + " build K 4x4 | " + kCli +
                              " sort --metrics --engine=plan --batch 64");
   EXPECT_EQ(r.exit_code, 0) << r.output;
@@ -312,7 +280,6 @@ TEST(Cli, MetricsSeesEngineAndPassCountersWhenCompiledIn) {
   // Hot-path counters advance only when the macros are compiled in.
   // sort --batch runs the batch kernel once plus the scalar cross-check.
   EXPECT_NE(r.output.find("  engine.run.batch = 1"), std::string::npos);
-  EXPECT_NE(r.output.find("  opt.pipeline.runs = 1"), std::string::npos);
   EXPECT_NE(r.output.find("  engine.batch.lanes = count 1 mean 64.0"),
             std::string::npos);
 #endif

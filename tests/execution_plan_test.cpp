@@ -9,6 +9,7 @@
 #include <random>
 #include <set>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -223,6 +224,48 @@ TEST(ExecutionPlan, EmptyNetworkCompilesToEmptyPlan) {
   EXPECT_EQ(plan.depth(), 0u);
   const std::vector<Count> in{3, 1, 4, 1};
   EXPECT_EQ(plan_comparator_output(plan, in), in);
+}
+
+TEST(ExecutionPlan, IndependentGateOrderCompilesToEqualPlans) {
+  // Both networks: layer 1 = {0,1}, {2,3,4,5}, {6,7}; layer 2 = {1,2},
+  // {5,6}. Only the order of independent gates in the stream differs.
+  NetworkBuilder a(8);
+  a.add_balancer({2, 3, 4, 5});
+  a.add_balancer({6, 7});
+  a.add_balancer({5, 6});
+  a.add_balancer({0, 1});
+  a.add_balancer({1, 2});
+  NetworkBuilder b(8);
+  b.add_balancer({0, 1});
+  b.add_balancer({6, 7});
+  b.add_balancer({2, 3, 4, 5});
+  b.add_balancer({1, 2});
+  b.add_balancer({5, 6});
+  const ExecutionPlan pa = compile_plan(std::move(a).finish_identity());
+  const ExecutionPlan pb = compile_plan(std::move(b).finish_identity());
+
+  ASSERT_EQ(pa.depth(), 2u);
+  ASSERT_EQ(pb.depth(), 2u);
+  for (std::size_t l = 0; l < pa.layers().size(); ++l) {
+    const ExecutionPlan::Layer& x = pa.layers()[l];
+    const ExecutionPlan::Layer& y = pb.layers()[l];
+    EXPECT_EQ(std::tie(x.pair_begin, x.pair_end, x.wide_begin, x.wide_end,
+                       x.ce_begin, x.ce_end),
+              std::tie(y.pair_begin, y.pair_end, y.wide_begin, y.wide_end,
+                       y.ce_begin, y.ce_end))
+        << "layer " << l;
+  }
+  // Each layer's pairs are ordered by minimum wire.
+  EXPECT_EQ(pa.pair_wires(), (std::vector<Wire>{0, 1, 6, 7, 1, 2, 5, 6}));
+  EXPECT_EQ(pa.pair_wires(), pb.pair_wires());
+  ASSERT_EQ(pa.wide_gates().size(), pb.wide_gates().size());
+  for (std::size_t g = 0; g < pa.wide_gates().size(); ++g) {
+    EXPECT_EQ(pa.wide_gates()[g].first, pb.wide_gates()[g].first);
+    EXPECT_EQ(pa.wide_gates()[g].width, pb.wide_gates()[g].width);
+  }
+  EXPECT_EQ(pa.wide_wires(), pb.wide_wires());
+  EXPECT_EQ(pa.ce_wires(), pb.ce_wires());
+  EXPECT_EQ(pa.output_order(), pb.output_order());
 }
 
 TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {

@@ -46,7 +46,8 @@ INSTANTIATE_TEST_SUITE_P(
                       Factors{2, 2, 3}, Factors{5, 2}, Factors{2, 2, 2, 2},
                       Factors{3, 2, 2, 3}, Factors{4, 3, 2}, Factors{5, 3},
                       Factors{2, 5, 2}, Factors{6, 2, 2}, Factors{7, 2},
-                      Factors{4, 4}, Factors{2, 2, 2, 2, 2}));
+                      Factors{4, 4}, Factors{2, 2, 2, 2, 2}, Factors{3, 3},
+                      Factors{2, 3, 4}));
 
 TEST(KNetwork, SingleFactorIsOneBalancer) {
   const Network net = make_k_network({6});

@@ -49,7 +49,8 @@ INSTANTIATE_TEST_SUITE_P(
                       Factors{2, 3, 2}, Factors{2, 2, 3}, Factors{3, 3, 2},
                       Factors{4, 3}, Factors{5, 2}, Factors{5, 5},
                       Factors{2, 2, 2, 2}, Factors{3, 2, 3}, Factors{4, 4},
-                      Factors{6, 3}, Factors{7, 2}, Factors{3, 4, 2}));
+                      Factors{6, 3}, Factors{7, 2}, Factors{3, 4, 2},
+                      Factors{2, 3, 4}));
 
 TEST(LNetwork, SortsAllBinaryInputsWidth12) {
   const Network net = make_l_network({2, 3, 2});

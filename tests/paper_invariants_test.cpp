@@ -6,16 +6,7 @@
 
 #include <random>
 
-#include "baseline/batcher.h"
-#include "baseline/bitonic.h"
-#include "baseline/bubble.h"
-#include "baseline/periodic.h"
-#include "core/factorization.h"
-#include "core/k_network.h"
-#include "core/l_network.h"
-#include "core/r_network.h"
 #include "net/network.h"
-#include "opt/pass.h"
 #include "seq/generators.h"
 #include "seq/matrix_layout.h"
 #include "sim/count_sim.h"
@@ -220,71 +211,6 @@ TEST(StaircaseGeometry, BlockValuesSpanAtMostTwoAdjacentBlocks) {
       const bool adjacent = (c == a + 1) || (a == 0 && c == r - 1);
       ASSERT_TRUE(adjacent) << a << "," << c;
     }
-  }
-}
-
-// ---------------------------------------------------------------------
-// Pass-pipeline regression guards: the optimizer must not disturb the
-// paper's depth results. The default pipeline never increases depth, and
-// the Proposition 6 / Theorem 7 depth statements survive it.
-// ---------------------------------------------------------------------
-
-TEST(PassDepthInvariants, DefaultPipelineNeverIncreasesDepth) {
-  struct Case {
-    const char* label;
-    Network net;
-  };
-  std::vector<Case> cases;
-  cases.push_back({"K(2,3,4)", make_k_network({2, 3, 4})});
-  cases.push_back({"K(4,4)", make_k_network({4, 4})});
-  cases.push_back({"L(2,3,4)", make_l_network({2, 3, 4})});
-  cases.push_back({"L(3,3)", make_l_network({3, 3})});
-  cases.push_back({"R(3,4)", make_r_network(3, 4)});
-  cases.push_back({"bitonic(16)", make_bitonic_network(4)});
-  cases.push_back({"batcher(24)", make_batcher_network(24)});
-  cases.push_back({"bubble(8)", make_bubble_network(8)});
-  cases.push_back({"periodic(16)", make_periodic_network(4)});
-  for (const auto& c : cases) {
-    for (const Semantics sem : {Semantics::kComparator, Semantics::kBalancer}) {
-      const PipelineResult out = optimize_network(
-          c.net, PassLevel::kDefault, PassOptions{.semantics = sem});
-      EXPECT_LE(out.network.depth(), c.net.depth())
-          << c.label << " under " << (sem == Semantics::kComparator
-                                          ? "comparator"
-                                          : "balancer")
-          << " semantics";
-      EXPECT_LE(out.network.gate_count(), c.net.gate_count()) << c.label;
-    }
-  }
-}
-
-TEST(PassDepthInvariants, TheoremDepthsSurviveTheDefaultPipeline) {
-  // Proposition 6: depth(K(p0..pn-1)) = 1.5 n^2 - 3.5 n + 2 exactly.
-  // K networks are counting networks, so they are optimized under their
-  // natural balancer semantics; comparator-only passes skip themselves and
-  // re-layering preserves the dependency structure, hence the exact depth.
-  const std::vector<std::vector<std::size_t>> k_shapes = {
-      {2, 2}, {2, 3}, {3, 3}, {2, 2, 2}, {2, 3, 4}};
-  for (const auto& shape : k_shapes) {
-    const Network net = make_k_network(shape);
-    ASSERT_EQ(net.depth(), k_depth_formula(shape.size()));
-    const PipelineResult out = optimize_network(
-        net, PassLevel::kDefault, PassOptions{.semantics = Semantics::kBalancer});
-    EXPECT_EQ(out.network.depth(), k_depth_formula(shape.size()))
-        << "K with " << shape.size() << " factors";
-  }
-
-  // Theorem 7: depth(L(p0..pn-1)) <= 9.5 n^2 - 12.5 n + 3.
-  const std::vector<std::vector<std::size_t>> l_shapes = {
-      {2, 2}, {2, 3}, {3, 3}, {2, 2, 2}, {2, 3, 4}};
-  for (const auto& shape : l_shapes) {
-    const Network net = make_l_network(shape);
-    const PipelineResult out = optimize_network(
-        net, PassLevel::kDefault, PassOptions{.semantics = Semantics::kBalancer});
-    EXPECT_LE(out.network.depth(), l_depth_bound(shape.size()))
-        << "L with " << shape.size() << " factors";
-    EXPECT_LE(out.network.depth(), net.depth())
-        << "L with " << shape.size() << " factors";
   }
 }
 

@@ -117,22 +117,18 @@ TEST(Runtime, OptionsSizeThePoolAndGateTheModuleCache) {
   EXPECT_GT(cached.module_cache().stats().entries, 0u);
 }
 
-TEST(Runtime, PassLevelOptionControlsCompiled) {
+TEST(Runtime, CompiledCachesThePlanAsConstructed) {
   Runtime rt;
   const Network net = make_l_network({2, 3, 4}, rt);
-  // compiled(net) runs the default pipeline: same entry as the explicit
-  // kDefault overload.
-  const CachedPlan opt = rt.compiled(net);
-  ASSERT_NE(opt.passes, nullptr);
-  EXPECT_FALSE(opt.passes->empty());
-  EXPECT_TRUE(rt.compiled(net, PassLevel::kDefault).hit);
-  // The explicit kNone overload skips the pipeline and keys the cache
-  // separately.
-  const CachedPlan raw = rt.compiled(net, PassLevel::kNone);
-  EXPECT_FALSE(raw.hit);
-  EXPECT_TRUE(raw.passes->empty());
-  EXPECT_EQ(rt.plan_cache().stats().misses, 2u);
-  EXPECT_GE(raw.plan->gate_count(), opt.plan->gate_count());
+  const CachedPlan first = rt.compiled(net);
+  EXPECT_FALSE(first.hit);
+  // The plan is the network as constructed: no gate is added or removed.
+  EXPECT_EQ(first.plan->gate_count(), net.gate_count());
+  EXPECT_EQ(first.plan->depth(), net.depth());
+  const CachedPlan second = rt.compiled(net);
+  EXPECT_TRUE(second.hit);
+  EXPECT_EQ(first.plan.get(), second.plan.get());
+  EXPECT_EQ(rt.plan_cache().stats().misses, 1u);
 }
 
 TEST(Runtime, ScnetThreadsEnvSizesDefaultPools) {

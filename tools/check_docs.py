@@ -58,8 +58,9 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)#\s]+)(?:#[^)\s]*)?\)")
 # and prose sometimes names a path that is a *concept* rather than a
 # file; list deliberate exceptions here. The deleted SIMD kernels,
 # topology layer, autotuner, service front end, network planner,
-# contention-model bench, depth-optimal rewrite pass and sorter library
-# stay named by the change history, which records what was removed.
+# contention-model bench, depth-optimal rewrite pass and sorter library,
+# and the pass pipeline stay named by the change history, which records
+# what was removed.
 ALLOWED_MISSING: set[str] = {
     "src/engine/simd_kernels.h",
     "src/topo/",
@@ -78,6 +79,12 @@ ALLOWED_MISSING: set[str] = {
     "tests/optimal_lib_test.cpp",
     "bench/bench_depth_opt.cpp",
     "docs/optimal_networks.md",
+    "src/opt/pass*",
+    "src/opt/pass.{h,cpp}",
+    "src/opt/passes.{h,cpp}",
+    "bench/bench_passes.cpp",
+    "tests/opt_passes_test.cpp",
+    "docs/passes.md",
 }
 
 
