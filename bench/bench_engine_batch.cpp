@@ -8,9 +8,16 @@
 // single-threaded SoA batch on a width >= 24 network.
 //
 // Each (network, backend) row runs on a fresh private Runtime, sends the
-// network's compiled plan through the engine dispatcher and keeps
-// the best of 3 runs; the interpreter row is timed the same way. Rows feed
-// the acceptance gate, so they are measured one at a time.
+// network's compiled plan through the engine dispatcher once untimed (so
+// the threaded column does not time its pool's workers spawning) and then
+// keeps the best of 3 runs; the interpreter row is timed the same way.
+// Rows feed the acceptance gate, so they are measured one at a time.
+//
+// An informational row follows: pooled / serial plan_sort_batch on L(2^5)
+// at 4096 lanes, the median of 200 alternating calls in one process, each
+// timed pooled call on a warm pool. It gates nothing, because on a shared
+// 4-vCPU host threaded / batch read anywhere from 1.0x to 3.1x between
+// runs.
 //
 // Besides the google-benchmark timings, the preamble emits
 // BENCH_engine.json — a machine-readable report of the measured
@@ -18,8 +25,10 @@
 // any row misses the 3x bar.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "baseline/bitonic.h"
 #include "bench_common.h"
@@ -73,11 +82,55 @@ double backend_vps(const NetworkCase& c, EngineBackend which) {
   const Network net = c.build(rt);
   const CachedPlan cached = rt.compiled(net);
   const auto inputs = bench::random_inputs(net.width(), kBatch, 99);
-  const double t = bench::best_time([&] {
+  const auto call = [&] {
     benchmark::DoNotOptimize(
         engine::sort_batch(*cached.plan, inputs, rt, which));
-  });
-  return static_cast<double>(kBatch) / t;
+  };
+  call();  // warm: a threaded runtime spawns its pool in its first call
+  return static_cast<double>(kBatch) / bench::best_time(call);
+}
+
+/// Pooled / serial plan_sort_batch speed in one process.
+struct PoolSpeedup {
+  std::size_t threads = 0;
+  double serial_us = 0;  // median per call
+  double pooled_us = 0;  // median per call
+};
+
+/// 200 alternating serial and pooled calls of plan_sort_batch on L(2^5)
+/// at kBatch lanes, after one untimed call of each. Each timed pooled call
+/// follows an untimed pooled call, so it finds the workers awake, as a
+/// back-to-back caller does: the serial call in between can outlast the
+/// pool's spin window, and a call made after the workers have parked also
+/// pays their wake-up, which this row does not measure. Outputs are freed
+/// outside the timed calls.
+PoolSpeedup measure_pool_speedup() {
+  constexpr int kCalls = 200;
+  const ExecutionPlan plan = compile_plan(make_l_network({2, 2, 2, 2, 2}));
+  const auto inputs = bench::random_inputs(plan.width(), kBatch, 99);
+  ThreadPool pool;
+  std::vector<double> serial;
+  std::vector<double> pooled;
+  for (int call = -1; call < kCalls; ++call) {
+    std::vector<std::vector<Count>> out;
+    const double s =
+        bench::time_once([&] { out = plan_sort_batch(plan, inputs); });
+    benchmark::DoNotOptimize(out);
+    out = plan_sort_batch(plan, inputs, &pool);
+    out = {};
+    const double p =
+        bench::time_once([&] { out = plan_sort_batch(plan, inputs, &pool); });
+    benchmark::DoNotOptimize(out);
+    if (call < 0) continue;  // the warm-up pair
+    serial.push_back(s);
+    pooled.push_back(p);
+  }
+  const auto median_us = [](std::vector<double>& v) {
+    const auto mid = v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2);
+    std::nth_element(v.begin(), mid, v.end());
+    return *mid * 1e6;
+  };
+  return {pool.size(), median_us(serial), median_us(pooled)};
 }
 
 std::vector<Measurement> measure_all() {
@@ -112,7 +165,8 @@ std::vector<Measurement> measure_all() {
   return ms;
 }
 
-bool emit_report(const std::vector<Measurement>& ms) {
+bool emit_report(const std::vector<Measurement>& ms,
+                 const PoolSpeedup& pool) {
   bench::print_header(
       "E-ENG  Compiled batch engine vs per-gate interpreter",
       "layer-scheduled SoA batches >= 3x interpreter throughput (w >= 24)");
@@ -142,6 +196,23 @@ bool emit_report(const std::vector<Measurement>& ms) {
     report.kv("batch_speedup", speedup);
     report.end_row();
   }
+  const double pool_speedup = pool.serial_us / pool.pooled_us;
+  std::printf(
+      "\nL(2^5), %zu lanes, median of 200 alternating calls: serial "
+      "plan_sort_batch %.0f us, pooled (%zu threads) %.0f us, pooled / "
+      "serial speed %.2fx\n(informational, not gated: on a shared 4-vCPU "
+      "host threaded / batch read anywhere from 1.0x to 3.1x between "
+      "runs)\n",
+      kBatch, pool.serial_us, pool.threads, pool.pooled_us, pool_speedup);
+  report.begin_row();
+  report.kv("network", "L(2^5)");
+  report.kv("batch_size", static_cast<std::uint64_t>(kBatch));
+  report.kv("pool_threads", static_cast<std::uint64_t>(pool.threads));
+  report.kv("serial_call_us", pool.serial_us);
+  report.kv("pooled_call_us", pool.pooled_us);
+  report.kv("pooled_over_serial_speed", pool_speedup);
+  report.kv("gated", false);
+  report.end_row();
   const bool pass = report.finish(all_pass);
   std::printf("\n");
   return pass;
@@ -219,7 +290,10 @@ BENCHMARK(BM_PlanCountBatchK64)->Unit(benchmark::kMillisecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool pass = emit_report(measure_all());
+  // The gated rows run first, so the informational row leaves them the
+  // same heap as before it existed.
+  const std::vector<Measurement> ms = measure_all();
+  const bool pass = emit_report(ms, measure_pool_speedup());
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return pass ? 0 : 1;

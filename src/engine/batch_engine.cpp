@@ -216,11 +216,15 @@ Count* block_buffer(std::size_t cells) {
       std::align(kLine, cells * sizeof(Count), base, bytes));
 }
 
-// Pack -> walk -> unpack per block on the thread's buffer. Workers take
-// blocks from one counter, so a slow worker delays the call by one block,
-// not a stripe. The outputs are allocated on the caller: allocated on the
-// workers, each malloc arena would keep its own freed chunks (peak RSS
-// rose by a third).
+// Pack -> walk -> unpack per block on the thread's buffer. Threads take
+// blocks from one counter, so a slow thread delays the call by one block,
+// not a stripe. The outputs are allocated on the caller (allocated on the
+// workers, each malloc arena would keep its own freed chunks: peak RSS rose
+// by a third), in block order while the other threads walk: the caller
+// publishes how many lanes have their storage, and a thread unpacks a block
+// once that frontier covers it. The caller only reserves; the unpacking
+// thread sizes each output, so no line is zeroed on one CPU and written on
+// another.
 template <Semantics S>
 std::vector<std::vector<Count>> run_packed(
     const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
@@ -232,11 +236,20 @@ std::vector<std::vector<Count>> run_packed(
   }
   const std::size_t width = plan.width();
   const std::size_t lanes = inputs.size();
-  std::vector<std::vector<Count>> outs(lanes, std::vector<Count>(width));
+  std::vector<std::vector<Count>> outs(lanes);
   const std::span<const Wire> order = plan.output_order();
   const std::size_t blocks = (lanes + kPackBlock - 1) / kPackBlock;
+  std::atomic<std::size_t> allocated{0};
   std::atomic<std::size_t> next{0};
-  const auto worker = [&](std::size_t, std::size_t) {
+  std::atomic<std::size_t> threads{0};  // threads that ran a block
+  const auto worker = [&](std::size_t chunk, std::size_t) {
+    if (chunk == 0) {  // the caller's chunk
+      for (std::size_t b = 0; b < lanes; b += kPackBlock) {
+        const std::size_t e = std::min(b + kPackBlock, lanes);
+        for (std::size_t j = b; j < e; ++j) outs[j].reserve(width);
+        allocated.store(e, std::memory_order_release);
+      }
+    }
     const Rows rows{block_buffer(width * kPackBlock), kPackBlock};
     LayerTimes times(plan);
     std::size_t ran = 0;
@@ -255,7 +268,11 @@ std::vector<std::vector<Count>> run_packed(
       } else {
         run_lanes<S, kPackBlock>(plan, rows, 0, n, times);
       }
+      spin_until([&] {
+        return allocated.load(std::memory_order_acquire) >= b + n;
+      });
       for (std::size_t j = 0; j < n; ++j) {
+        outs[b + j].resize(width);  // within capacity: no allocation
         Count* out = outs[b + j].data();
         for (std::size_t i = 0; i < width; ++i) {
           out[i] = rows.row(order[i])[j];
@@ -263,12 +280,14 @@ std::vector<std::vector<Count>> run_packed(
       }
       ran += n;
     }
+    if (ran > 0) threads.fetch_add(1, std::memory_order_relaxed);
     times.record(plan, ran);
   };
   if (pool == nullptr) {
-    worker(0, 0);
+    worker(0, 1);
   } else {
     pool->parallel_for(std::min(pool->size(), blocks), 1, worker);
+    SCNET_HISTOGRAM_RECORD("engine.batch.threads", threads.load());
   }
   return outs;
 }

@@ -15,8 +15,10 @@
 //     64-lane block at a time: each block is packed into a per-thread
 //     buffer (row stride 64), walked through the whole plan and unpacked
 //     into its output vectors while it is still in L1. A full block's lane
-//     loops have a constant trip count. Given a ThreadPool, workers take
-//     blocks from one shared counter until none are left.
+//     loops have a constant trip count. Given a ThreadPool, its threads
+//     (the caller among them) take blocks from one shared counter until
+//     none are left, while the caller first allocates the outputs in block
+//     order; a block is unpacked once its outputs exist.
 // No synchronization is needed between layers or blocks, and a lane's
 // result cannot depend on which thread ran it — determinism is structural.
 //
@@ -84,10 +86,11 @@ void run_plan_counts_batch(const ExecutionPlan& plan,
 // Vectors in, vectors out: packed and unpacked one block at a time.
 
 /// Sorts many input vectors at once, one 64-lane block at a time (on
-/// `pool`'s workers if non-null, else on the caller), and returns each
+/// `pool`'s threads if non-null, else on the caller), and returns each
 /// vector's values in logical output order. Each result equals
 /// comparator_output_counts(net, inputs[j]). The outputs are allocated on
-/// the calling thread; the block buffers are per-thread and only grow.
+/// the calling thread, overlapped with the other threads' walk; the block
+/// buffers are per-thread and only grow.
 [[nodiscard]] std::vector<std::vector<Count>> plan_sort_batch(
     const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
     ThreadPool* pool = nullptr);

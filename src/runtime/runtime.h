@@ -60,7 +60,8 @@ class Runtime {
   /// process defaults: the SCNET_MODULE_CACHE / SCNET_BACKEND /
   /// SCNET_THREADS variables are read ONCE here, never per call.
   struct Options {
-    /// Worker threads for pool(). 0 defers to SCNET_THREADS, then
+    /// Threads a pool() call runs on, counting the caller: pool() spawns
+    /// threads - 1 workers. 0 defers to SCNET_THREADS, then
     /// hardware_concurrency (see default_thread_count()).
     std::size_t threads = 0;
     /// LRU capacity of this runtime's PlanCache.

@@ -9,6 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstdlib>
+#include <new>
 #include <numeric>
 #include <ostream>
 #include <random>
@@ -33,6 +37,33 @@
 #include "sim/event_sim.h"
 #include "sim/manual_router.h"
 #include "sim/token_sim.h"
+
+// While set on a thread, each allocation it makes first waits kSlowNew.
+// The caller of a pooled plan_sort_batch / plan_count_batch allocates every
+// output, so slowing its allocations makes the other threads' walks outrun
+// the allocation frontier. Meanwhile every allocation on another thread is
+// counted: a walk that ran past the frontier would allocate outputs there.
+thread_local bool t_slow_new = false;
+constexpr std::chrono::microseconds kSlowNew{5};
+std::atomic<bool> g_count_other_news{false};
+std::atomic<std::size_t> g_other_news{0};
+
+// Out of line, so that no inlined delete reads as free() of a new'd pointer.
+[[gnu::noinline]] void* operator new(std::size_t bytes) {
+  if (t_slow_new) {
+    const auto until = std::chrono::steady_clock::now() + kSlowNew;
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  } else if (g_count_other_news.load(std::memory_order_relaxed)) {
+    g_other_news.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace scn {
 namespace {
@@ -316,7 +347,7 @@ std::vector<StripeCase> stripe_cases() {
   }
   // Block boundaries: 63 lanes is one block for 8 workers, 4097 is 64 full
   // blocks and a one-lane remainder.
-  for (const std::size_t threads : {1u, 3u, 8u}) {
+  for (const std::size_t threads : {1u, 3u, 4u, 8u}) {
     for (const std::size_t lanes : {63u, 64u, 65u, 127u, 128u, 129u, 4097u}) {
       out.push_back({threads, lanes});
     }
@@ -326,6 +357,72 @@ std::vector<StripeCase> stripe_cases() {
 
 INSTANTIATE_TEST_SUITE_P(PoolSizesTimesLanes, ThreadedStriping,
                          ::testing::ValuesIn(stripe_cases()));
+
+// A pooled packed call overlaps the caller's output allocation with the
+// other threads' walks. Whether the walk runs ahead of the allocation or
+// the caller runs everything alone, every lane must come out as the serial
+// call and the interpreters have it.
+enum class Overlap { kSlowAllocation, kCallerOnly, kNested };
+
+void expect_packed_outputs(ThreadPool& pool, Overlap mode) {
+  std::mt19937_64 rng(77);
+  for (const Network& net :
+       {make_k_network({2, 3, 2}), make_l_network({2, 2, 2, 2, 2})}) {
+    const ExecutionPlan plan = compile_plan(net);
+    std::vector<std::vector<Count>> inputs;
+    for (std::size_t j = 0; j < 4097; ++j) {
+      inputs.push_back(random_count_vector(
+          rng, net.width(), 1 + static_cast<Count>(rng() % 100)));
+    }
+    const auto serial_sort = plan_sort_batch(plan, inputs);
+    const auto serial_count = plan_count_batch(plan, inputs);
+    for (std::size_t j = 0; j < inputs.size(); j += 97) {
+      ASSERT_EQ(serial_sort[j], comparator_output_counts(net, inputs[j]));
+      ASSERT_EQ(serial_count[j], output_counts(net, inputs[j]));
+    }
+    std::vector<std::vector<Count>> sorted;
+    std::vector<std::vector<Count>> counted;
+    const auto pooled = [&] {
+      sorted = plan_sort_batch(plan, inputs, &pool);
+      counted = plan_count_batch(plan, inputs, &pool);
+    };
+    if (mode == Overlap::kNested) {
+      // Chunk 0 of another call runs on this thread, and a call made
+      // inside a body runs inline.
+      pool.parallel_for(2, 1, [&](std::size_t begin, std::size_t) {
+        if (begin == 0) pooled();
+      });
+    } else if (mode == Overlap::kCallerOnly) {
+      pooled();
+    } else {
+      g_other_news = 0;
+      g_count_other_news = true;
+      t_slow_new = true;
+      pooled();
+      t_slow_new = false;
+      g_count_other_news = false;
+      // Workers allocate nothing but, at a new width, their block buffer.
+      EXPECT_LT(g_other_news.load(), pool.size()) << "width " << net.width();
+    }
+    ASSERT_EQ(sorted, serial_sort) << "width " << net.width();
+    ASSERT_EQ(counted, serial_count) << "width " << net.width();
+  }
+}
+
+TEST(PackedOverlap, WalkOutrunsTheAllocationFrontier) {
+  // Every allocation on the caller waits 5 us, so the 4,097 outputs take
+  // about 20 ms to allocate while the workers walk every block in well
+  // under that and wait at the frontier to unpack.
+  ThreadPool pool(4);
+  expect_packed_outputs(pool, Overlap::kSlowAllocation);
+}
+
+TEST(PackedOverlap, CallerIsTheOnlyThread) {
+  ThreadPool one(1);
+  expect_packed_outputs(one, Overlap::kCallerOnly);
+  ThreadPool pool(4);
+  expect_packed_outputs(pool, Overlap::kNested);
+}
 
 }  // namespace
 }  // namespace scn

@@ -1,10 +1,7 @@
-// Layer-partition correctness of the ExecutionPlan compiler, plus
-// thread-pool behavior the engine relies on.
+// Layer-partition correctness of the ExecutionPlan compiler.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <mutex>
 #include <numeric>
 #include <random>
 #include <set>
@@ -266,97 +263,6 @@ TEST(ExecutionPlan, IndependentGateOrderCompilesToEqualPlans) {
   EXPECT_EQ(pa.wide_wires(), pb.wide_wires());
   EXPECT_EQ(pa.ce_wires(), pb.ce_wires());
   EXPECT_EQ(pa.output_order(), pb.output_order());
-}
-
-TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(hits.size(), 1, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      hits[i].fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, SubmitAndWaitIdleRunsEverything) {
-  ThreadPool pool(3);
-  std::atomic<int> sum{0};
-  for (int i = 1; i <= 100; ++i) {
-    pool.submit([&sum, i] { sum.fetch_add(i, std::memory_order_relaxed); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(sum.load(), 5050);
-  // The pool is reusable after wait_idle.
-  pool.submit([&sum] { sum.fetch_add(1, std::memory_order_relaxed); });
-  pool.wait_idle();
-  EXPECT_EQ(sum.load(), 5051);
-}
-
-TEST(ThreadPool, ParallelForOnTinyRangeRunsInline) {
-  ThreadPool pool(8);
-  int calls = 0;
-  pool.parallel_for(3, 100, [&](std::size_t begin, std::size_t end) {
-    ++calls;  // single chunk => runs on the calling thread, no data race
-    EXPECT_EQ(begin, 0u);
-    EXPECT_EQ(end, 3u);
-  });
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(ThreadPool, SingleWorkerRunsTasksInSubmissionOrder) {
-  // One FIFO queue: a lone worker pops tasks in the order they were pushed.
-  ThreadPool pool(1);
-  std::mutex mu;
-  std::vector<int> order;
-  for (int i = 0; i < 50; ++i) {
-    pool.submit([&mu, &order, i] {
-      const std::lock_guard<std::mutex> lock(mu);
-      order.push_back(i);
-    });
-  }
-  pool.wait_idle();
-  ASSERT_EQ(order.size(), 50u);
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    EXPECT_EQ(order[i], static_cast<int>(i));
-  }
-}
-
-TEST(ThreadPool, DestructorDrainsQueuedTasks) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 200; ++i) {
-      pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-    }
-  }  // no wait_idle: the destructor must still run every queued task
-  EXPECT_EQ(ran.load(), 200);
-}
-
-TEST(ThreadPool, ParallelForChunksDependOnlyOnShape) {
-  // Chunk boundaries are a function of (n, grain, size()): an even split
-  // into min(size, ceil(n / grain)) contiguous ranges, the first n % chunks
-  // one item longer. Repeated runs must see the same boundaries.
-  auto chunks_of = [](ThreadPool& pool, std::size_t n, std::size_t grain) {
-    std::mutex mu;
-    std::vector<std::pair<std::size_t, std::size_t>> seen;
-    pool.parallel_for(n, grain, [&](std::size_t begin, std::size_t end) {
-      const std::lock_guard<std::mutex> lock(mu);
-      seen.emplace_back(begin, end);
-    });
-    std::sort(seen.begin(), seen.end());
-    return seen;
-  };
-  ThreadPool pool(4);
-  const auto ten = chunks_of(pool, 10, 1);
-  const std::vector<std::pair<std::size_t, std::size_t>> want{
-      {0, 3}, {3, 6}, {6, 8}, {8, 10}};
-  EXPECT_EQ(ten, want);
-  EXPECT_EQ(chunks_of(pool, 10, 1), ten);
-  // The grain caps the chunk count: 10 items at grain 4 make 3 chunks.
-  EXPECT_EQ(chunks_of(pool, 10, 4).size(), 3u);
-  ThreadPool twin(4);
-  EXPECT_EQ(chunks_of(twin, 1001, 7), chunks_of(pool, 1001, 7));
 }
 
 }  // namespace

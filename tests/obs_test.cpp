@@ -36,12 +36,11 @@ TEST(Metrics, CounterConcurrentAddsAreExact) {
   constexpr int kTasks = 16;
   constexpr int kAddsPerTask = 10000;
   ThreadPool pool(4);
-  for (int t = 0; t < kTasks; ++t) {
-    pool.submit([&c] {
+  pool.parallel_for(kTasks, 1, [&c](std::size_t begin, std::size_t end) {
+    for (std::size_t t = begin; t < end; ++t) {
       for (int i = 0; i < kAddsPerTask; ++i) c.add(1);
-    });
-  }
-  pool.wait_idle();
+    }
+  });
   EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kTasks) * kAddsPerTask);
   EXPECT_EQ(reg.value("test.adds"),
             static_cast<std::uint64_t>(kTasks) * kAddsPerTask);
@@ -62,12 +61,11 @@ TEST(Metrics, HistogramConcurrentRecordsKeepExactCountAndSum) {
   constexpr int kTasks = 8;
   constexpr std::uint64_t kPerTask = 5000;
   ThreadPool pool(4);
-  for (int t = 0; t < kTasks; ++t) {
-    pool.submit([&h] {
+  pool.parallel_for(kTasks, 1, [&h](std::size_t begin, std::size_t end) {
+    for (std::size_t t = begin; t < end; ++t) {
       for (std::uint64_t v = 1; v <= kPerTask; ++v) h.record(v);
-    });
-  }
-  pool.wait_idle();
+    }
+  });
   const obs::Histogram::Snapshot snap = h.snapshot();
   EXPECT_EQ(snap.count, static_cast<std::uint64_t>(kTasks) * kPerTask);
   EXPECT_EQ(snap.sum, kTasks * (kPerTask * (kPerTask + 1) / 2));
@@ -468,6 +466,37 @@ TEST(Trace, PooledPackedWalkRecordsOneLayerSetPerWorker) {
     ASSERT_EQ(lanes_by_layer.size(), depth) << threads << " threads";
     for (const auto& [name, lanes] : lanes_by_layer) {
       EXPECT_EQ(lanes, kLanes) << name << ", " << threads << " threads";
+    }
+  }
+}
+
+TEST(Metrics, PooledBatchRecordsTheThreadsThatRanABlock) {
+  // engine.batch.threads: one value per pooled call, recorded on the
+  // caller, counting the threads that ran at least one block.
+  if (!obs::compiled_in()) GTEST_SKIP() << "engine metrics compiled out";
+  const ExecutionPlan plan = compile_plan(make_l_network({2, 2, 2, 2}));
+  std::mt19937_64 rng(23);
+  std::vector<std::vector<Count>> inputs;
+  for (std::size_t j = 0; j < 4097; ++j) {
+    inputs.push_back(random_count_vector(rng, plan.width(), 50));
+  }
+  obs::Histogram& threads =
+      obs::MetricsRegistry::shared().histogram("engine.batch.threads");
+  const auto before_serial = threads.snapshot();
+  (void)plan_sort_batch(plan, inputs);
+  EXPECT_EQ(threads.snapshot().count, before_serial.count)
+      << "a serial call records nothing";
+  for (const std::size_t size : {1u, 3u, 8u}) {
+    ThreadPool pool(size);
+    for (int call = 0; call < 20; ++call) {
+      const auto before = threads.snapshot();
+      (void)(call % 2 == 0 ? plan_sort_batch(plan, inputs, &pool)
+                           : plan_count_batch(plan, inputs, &pool));
+      const auto after = threads.snapshot();
+      ASSERT_EQ(after.count, before.count + 1) << size << " threads";
+      const std::uint64_t ran = after.sum - before.sum;
+      EXPECT_GE(ran, 1u) << size << " threads";
+      EXPECT_LE(ran, size) << size << " threads";
     }
   }
 }

@@ -150,12 +150,11 @@ TEST(PlanCache, SharedCacheMissesRaceRegistrySnapshotsWithoutDeadlock) {
   });
   {
     ThreadPool pool(4);
-    for (std::size_t k = 2; k <= 9; ++k) {
-      pool.submit([k] {
+    pool.parallel_for(8, 1, [](std::size_t begin, std::size_t end) {
+      for (std::size_t k = 2 + begin; k < 2 + end; ++k) {
         (void)compiled_plan(make_k_network({2, k}));
-      });
-    }
-    pool.wait_idle();
+      }
+    });
   }
   stop.store(true, std::memory_order_relaxed);
   sampler.join();
