@@ -13,11 +13,15 @@
 // keeps the best of 3 runs; the interpreter row is timed the same way.
 // Rows feed the acceptance gate, so they are measured one at a time.
 //
-// An informational row follows: pooled / serial plan_sort_batch on L(2^5)
-// at 4096 lanes, the median of 200 alternating calls in one process, each
-// timed pooled call on a warm pool. It gates nothing, because on a shared
-// 4-vCPU host threaded / batch read anywhere from 1.0x to 3.1x between
-// runs.
+// Two informational rows follow, each the median of 200 alternating calls
+// in one process: pooled / serial plan_sort_batch on L(2^5) at 4096 lanes,
+// each timed pooled call on a warm pool; and serial plan_sort_batch on the
+// same plan with values that fit in 32 bits against the same values moved
+// past that range, the cell where the 32-bit block walk must win to stay.
+// Neither gates anything: on a shared 4-vCPU host threaded / batch read
+// anywhere from 1.0x to 3.1x between runs, and the lane-type row decides
+// whether code is kept, not whether a build passes. Every timed call's
+// outputs are freed outside its timing, in the gated rows too.
 //
 // Besides the google-benchmark timings, the preamble emits
 // BENCH_engine.json — a machine-readable report of the measured
@@ -27,6 +31,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -82,12 +87,26 @@ double backend_vps(const NetworkCase& c, EngineBackend which) {
   const Network net = c.build(rt);
   const CachedPlan cached = rt.compiled(net);
   const auto inputs = bench::random_inputs(net.width(), kBatch, 99);
+  std::vector<std::vector<Count>> out;
   const auto call = [&] {
-    benchmark::DoNotOptimize(
-        engine::sort_batch(*cached.plan, inputs, rt, which));
+    out = engine::sort_batch(*cached.plan, inputs, rt, which);
   };
   call();  // warm: a threaded runtime spawns its pool in its first call
-  return static_cast<double>(kBatch) / bench::best_time(call);
+  double best = 0;
+  for (int rep = 0; rep < 3; ++rep) {
+    out = {};  // the last call's outputs are freed outside the timing
+    const double t = bench::time_once(call);
+    benchmark::DoNotOptimize(out);
+    best = rep == 0 ? t : std::min(best, t);
+  }
+  return static_cast<double>(kBatch) / best;
+}
+
+/// The median of per-call times in seconds, in microseconds.
+double median_us(std::vector<double> v) {
+  const auto mid = v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2);
+  std::nth_element(v.begin(), mid, v.end());
+  return *mid * 1e6;
 }
 
 /// Pooled / serial plan_sort_batch speed in one process.
@@ -125,12 +144,49 @@ PoolSpeedup measure_pool_speedup() {
     serial.push_back(s);
     pooled.push_back(p);
   }
-  const auto median_us = [](std::vector<double>& v) {
-    const auto mid = v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2);
-    std::nth_element(v.begin(), mid, v.end());
-    return *mid * 1e6;
-  };
   return {pool.size(), median_us(serial), median_us(pooled)};
+}
+
+/// Serial plan_sort_batch speed by lane type, in one process.
+struct LaneTypes {
+  double narrow_us = 0;  // median per call, every block walked at 32 bits
+  double wide_us = 0;    // median per call, every block walked at 64 bits
+};
+
+/// 200 alternating serial calls of plan_sort_batch on L(2^5) at kBatch
+/// lanes on values below 2^20, as scbench draws them, and on the same
+/// values plus 2^40, which no block can walk at 32 bits. Both sort the same
+/// keys in the same order, so only the lane type differs. Outputs are freed
+/// outside the timed calls.
+LaneTypes measure_lane_types() {
+  constexpr int kCalls = 200;
+  const ExecutionPlan plan = compile_plan(make_l_network({2, 2, 2, 2, 2}));
+  std::mt19937_64 rng(99);
+  std::vector<std::vector<Count>> narrow(kBatch,
+                                         std::vector<Count>(plan.width()));
+  for (std::vector<Count>& in : narrow) {
+    for (Count& x : in) x = static_cast<Count>(rng() % (1u << 20));
+  }
+  std::vector<std::vector<Count>> wide = narrow;
+  for (std::vector<Count>& in : wide) {
+    for (Count& x : in) x += Count{1} << 40;
+  }
+  std::vector<double> narrow_s;
+  std::vector<double> wide_s;
+  for (int call = -1; call < kCalls; ++call) {
+    std::vector<std::vector<Count>> out;
+    const double n =
+        bench::time_once([&] { out = plan_sort_batch(plan, narrow); });
+    benchmark::DoNotOptimize(out);
+    out = {};
+    const double w =
+        bench::time_once([&] { out = plan_sort_batch(plan, wide); });
+    benchmark::DoNotOptimize(out);
+    if (call < 0) continue;  // the warm-up pair
+    narrow_s.push_back(n);
+    wide_s.push_back(w);
+  }
+  return {median_us(narrow_s), median_us(wide_s)};
 }
 
 std::vector<Measurement> measure_all() {
@@ -165,8 +221,8 @@ std::vector<Measurement> measure_all() {
   return ms;
 }
 
-bool emit_report(const std::vector<Measurement>& ms,
-                 const PoolSpeedup& pool) {
+bool emit_report(const std::vector<Measurement>& ms, const PoolSpeedup& pool,
+                 const LaneTypes& lane_types) {
   bench::print_header(
       "E-ENG  Compiled batch engine vs per-gate interpreter",
       "layer-scheduled SoA batches >= 3x interpreter throughput (w >= 24)");
@@ -211,6 +267,21 @@ bool emit_report(const std::vector<Measurement>& ms,
   report.kv("serial_call_us", pool.serial_us);
   report.kv("pooled_call_us", pool.pooled_us);
   report.kv("pooled_over_serial_speed", pool_speedup);
+  report.kv("gated", false);
+  report.end_row();
+  const double narrow_speedup = lane_types.wide_us / lane_types.narrow_us;
+  std::printf(
+      "L(2^5), %zu lanes, median of 200 alternating serial plan_sort_batch "
+      "calls: values below 2^20 (32-bit blocks) %.0f us, the same values "
+      "plus 2^40 (64-bit blocks) %.0f us, 32-bit / 64-bit speed %.2fx\n"
+      "(informational: the 32-bit blocks stay only while they win here)\n",
+      kBatch, lane_types.narrow_us, lane_types.wide_us, narrow_speedup);
+  report.begin_row();
+  report.kv("network", "L(2^5)");
+  report.kv("batch_size", static_cast<std::uint64_t>(kBatch));
+  report.kv("narrow_call_us", lane_types.narrow_us);
+  report.kv("wide_call_us", lane_types.wide_us);
+  report.kv("narrow_over_wide_speed", narrow_speedup);
   report.kv("gated", false);
   report.end_row();
   const bool pass = report.finish(all_pass);
@@ -293,7 +364,8 @@ int main(int argc, char** argv) {
   // The gated rows run first, so the informational row leaves them the
   // same heap as before it existed.
   const std::vector<Measurement> ms = measure_all();
-  const bool pass = emit_report(ms, measure_pool_speedup());
+  const PoolSpeedup pool = measure_pool_speedup();
+  const bool pass = emit_report(ms, pool, measure_lane_types());
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return pass ? 0 : 1;

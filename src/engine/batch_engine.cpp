@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "engine/kernels.h"
@@ -22,8 +25,8 @@ using engine::Batch;
 // WHOLE plan over one lane block before the next, and the revisits hit
 // cache. On a Batch's long rows a block is 256 lanes (2 KB row segments;
 // 64-lane blocks at a 4096-lane stride measured 1.9x slower). A packed
-// block is 64 lanes at stride 64: 16 KB at width 32, so its pack, every
-// layer and its unpack all run in L1.
+// block is 64 lanes at stride 64: 16 KB of Count at width 32, or 8 KB of
+// int32_t, so its pack, every layer and its unpack all run in L1.
 constexpr std::size_t kBatchBlock = 256;
 constexpr std::size_t kPackBlock = 64;
 
@@ -38,14 +41,18 @@ void check_length(const char* entry, const ExecutionPlan& plan,
                               std::to_string(plan.width()));
 }
 
-// Lane-major rows: lane j of physical wire w lives at base[w * stride + j].
-// A Batch is stride = batch_size; a single vector is stride 1, lane 0; a
-// packed block is stride kPackBlock.
+// Lane-major rows of T: lane j of physical wire w lives at
+// base[w * stride + j]. A Batch is stride = batch_size; a single vector is
+// stride 1, lane 0; a packed block is stride kPackBlock. Rows are Count,
+// except that a packed comparator block whose values all fit in 32 bits is
+// walked as int32_t: a compare-exchange only compares and moves, so the
+// narrow walk yields the same values, and a vector holds twice the lanes.
+template <typename T>
 struct Rows {
-  Count* base;
+  T* base;
   std::size_t stride;
 
-  [[nodiscard]] Count* row(Wire w) const {
+  [[nodiscard]] T* row(Wire w) const {
     return base + static_cast<std::size_t>(w) * stride;
   }
 };
@@ -57,15 +64,20 @@ struct Rows {
 // distinct, so its rows never overlap (__restrict drops the alias check).
 // A wide balancer is irreducible (a width-p balancer is not a network of
 // 2-balancers), so it runs as sum-then-redistribute, both phases row-wise
-// over the lanes.
-template <Semantics S, std::size_t kBlock>
+// over the lanes. The tables and bounds are read into locals first: an
+// int32_t row store may alias the Wire (int32_t) tables, which would
+// otherwise be reloaded after every lane loop.
+template <Semantics S, std::size_t kBlock, typename T>
 [[gnu::always_inline]] inline void run_layer(
-    const ExecutionPlan& plan, const ExecutionPlan::Layer& layer, Rows rows,
+    const ExecutionPlan& plan, const ExecutionPlan::Layer& layer, Rows<T> rows,
     std::size_t b, std::size_t e) {
-  const auto& pairs = plan.pair_wires();
-  for (std::uint32_t k = layer.pair_begin; k < layer.pair_end; ++k) {
-    Count* __restrict hi = rows.row(pairs[2 * k]);
-    Count* __restrict lo = rows.row(pairs[2 * k + 1]);
+  static_assert(S == Semantics::kComparator || std::is_same_v<T, Count>,
+                "balancers add, so counts are walked at full width");
+  const Wire* const pairs = plan.pair_wires().data();
+  const std::uint32_t pair_end = layer.pair_end;
+  for (std::uint32_t k = layer.pair_begin; k < pair_end; ++k) {
+    T* __restrict hi = rows.row(pairs[2 * k]);
+    T* __restrict lo = rows.row(pairs[2 * k + 1]);
     for (std::size_t j = b; j < e; ++j) {
       if constexpr (S == Semantics::kComparator) {
         engine::pair_sort_kernel(hi[j], lo[j]);
@@ -75,10 +87,11 @@ template <Semantics S, std::size_t kBlock>
     }
   }
   if constexpr (S == Semantics::kComparator) {
-    const auto& ces = plan.ce_wires();
-    for (std::uint32_t k = layer.ce_begin; k < layer.ce_end; ++k) {
-      Count* __restrict hi = rows.row(ces[2 * k]);
-      Count* __restrict lo = rows.row(ces[2 * k + 1]);
+    const Wire* const ces = plan.ce_wires().data();
+    const std::uint32_t ce_end = layer.ce_end;
+    for (std::uint32_t k = layer.ce_begin; k < ce_end; ++k) {
+      T* __restrict hi = rows.row(ces[2 * k]);
+      T* __restrict lo = rows.row(ces[2 * k + 1]);
       for (std::size_t j = b; j < e; ++j) {
         engine::pair_sort_kernel(hi[j], lo[j]);
       }
@@ -151,9 +164,10 @@ class LayerTimes {
 // constants there fold into constant-trip lane loops: at a single vector's
 // one lane each gate compiles to a plain scalar compare-exchange, and a
 // full packed block runs kPackBlock-lane loops with no remainder.
-template <Semantics S, std::size_t kBlock>
+template <Semantics S, std::size_t kBlock, typename T>
 [[gnu::always_inline]] inline void run_lanes(const ExecutionPlan& plan,
-                                             Rows rows, std::size_t lane_begin,
+                                             Rows<T> rows,
+                                             std::size_t lane_begin,
                                              std::size_t lane_end,
                                              LayerTimes& times) {
   using Clock = std::chrono::steady_clock;
@@ -163,7 +177,7 @@ template <Semantics S, std::size_t kBlock>
     const std::size_t e = std::min(b + kBlock, lane_end);
     for (std::size_t i = 0; i < layers.size(); ++i) {
       const Clock::time_point t0 = traced ? Clock::now() : Clock::time_point{};
-      run_layer<S, kBlock>(plan, layers[i], rows, b, e);
+      run_layer<S, kBlock, T>(plan, layers[i], rows, b, e);
       if (traced) {
         times.add(i, static_cast<std::uint64_t>(
                          std::chrono::nanoseconds(Clock::now() - t0).count()));
@@ -175,7 +189,8 @@ template <Semantics S, std::size_t kBlock>
 // One lane range on one thread, traced as one event set.
 template <Semantics S, std::size_t kBlock>
 [[gnu::always_inline]] inline void run_range(const ExecutionPlan& plan,
-                                             Rows rows, std::size_t lane_begin,
+                                             Rows<Count> rows,
+                                             std::size_t lane_begin,
                                              std::size_t lane_end) {
   LayerTimes times(plan);
   run_lanes<S, kBlock>(plan, rows, lane_begin, lane_end, times);
@@ -188,7 +203,7 @@ void run_batch(const ExecutionPlan& plan, Batch<Count>& batch,
   check_length(S == Semantics::kComparator ? "run_plan_batch"
                                            : "run_plan_counts_batch",
                plan, batch.width());
-  const Rows rows{batch.data(), batch.batch_size()};
+  const Rows<Count> rows{batch.data(), batch.batch_size()};
   const auto stripe = [&](std::size_t begin, std::size_t end) {
     run_range<S, kBatchBlock>(plan, rows, begin, end);
   };
@@ -201,30 +216,65 @@ void run_batch(const ExecutionPlan& plan, Batch<Count>& batch,
   }
 }
 
-// The calling thread's block buffer, starting on a cache line so that no
-// vector load of a kPackBlock-lane row straddles two lines. It only grows,
-// so after a thread's first block at a width the packed entries allocate
-// nothing but their outputs.
-Count* block_buffer(std::size_t cells) {
+// The calling thread's block buffers: room for one block of Count and one
+// of int32_t in a single allocation, each starting on a cache line so that
+// no vector load of a kPackBlock-lane row straddles two lines. The two are
+// disjoint, so no byte is ever accessed as both types. The allocation only
+// grows, so after a thread's first block at a width the packed entries
+// allocate nothing but their outputs.
+struct BlockBuffers {
+  Count* wide;
+  std::int32_t* narrow;
+};
+
+BlockBuffers block_buffers(std::size_t cells) {
   constexpr std::size_t kLine = 64;
-  thread_local std::vector<Count> buffer;
-  const std::size_t slack = kLine / sizeof(Count);
-  if (buffer.size() < cells + slack) buffer.resize(cells + slack);
-  void* base = buffer.data();
-  std::size_t bytes = buffer.size() * sizeof(Count);
-  return static_cast<Count*>(
-      std::align(kLine, cells * sizeof(Count), base, bytes));
+  const auto lines = [](std::size_t bytes) {
+    return (bytes + kLine - 1) / kLine * kLine;
+  };
+  const std::size_t wide_bytes = lines(cells * sizeof(Count));
+  const std::size_t bytes = wide_bytes + lines(cells * sizeof(std::int32_t));
+  thread_local std::unique_ptr<std::byte[]> storage;
+  thread_local std::size_t capacity = 0;
+  if (capacity < bytes) {
+    storage = std::make_unique_for_overwrite<std::byte[]>(bytes + kLine);
+    capacity = bytes;
+  }
+  void* base = storage.get();
+  std::size_t space = capacity + kLine;
+  auto* line = static_cast<std::byte*>(std::align(kLine, bytes, base, space));
+  return {std::launder(reinterpret_cast<Count*>(line)),
+          std::launder(reinterpret_cast<std::int32_t*>(line + wide_bytes))};
 }
 
-// Pack -> walk -> unpack per block on the thread's buffer. Threads take
+// Packs lanes [b, b + n) of `inputs` into a block's rows as T. Returns
+// whether every value round-trips through T, which always holds for Count.
+template <typename T>
+bool pack_block(std::span<const std::vector<Count>> inputs, std::size_t b,
+                std::size_t n, Rows<T> rows) {
+  Count mismatch = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::vector<Count>& in = inputs[b + j];
+    for (std::size_t w = 0; w < in.size(); ++w) {
+      const T x = static_cast<T>(in[w]);
+      rows.base[w * kPackBlock + j] = x;
+      mismatch |= static_cast<Count>(x) ^ in[w];
+    }
+  }
+  return mismatch == 0;
+}
+
+// Pack -> walk -> unpack per block on the thread's buffers. Threads take
 // blocks from one counter, so a slow thread delays the call by one block,
-// not a stripe. The outputs are allocated on the caller (allocated on the
-// workers, each malloc arena would keep its own freed chunks: peak RSS rose
-// by a third), in block order while the other threads walk: the caller
-// publishes how many lanes have their storage, and a thread unpacks a block
-// once that frontier covers it. The caller only reserves; the unpacking
-// thread sizes each output, so no line is zeroed on one CPU and written on
-// another.
+// not a stripe. A comparator block is packed as int32_t first and walked
+// at that width if every value fits, else repacked and walked as Count;
+// counts are always walked as Count. The outputs are allocated on the
+// caller (allocated on the workers, each malloc arena would keep its own
+// freed chunks: peak RSS rose by a third), in block order while the other
+// threads walk: the caller publishes how many lanes have their storage,
+// and a thread unpacks a block once that frontier covers it. The caller
+// only reserves; the unpacking thread sizes each output, so no line is
+// zeroed on one CPU and written on another.
 template <Semantics S>
 std::vector<std::vector<Count>> run_packed(
     const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
@@ -235,6 +285,7 @@ std::vector<std::vector<Count>> run_packed(
                  plan, in.size());
   }
   const std::size_t width = plan.width();
+  const std::size_t cells = width * kPackBlock;
   const std::size_t lanes = inputs.size();
   std::vector<std::vector<Count>> outs(lanes);
   const std::span<const Wire> order = plan.output_order();
@@ -242,6 +293,7 @@ std::vector<std::vector<Count>> run_packed(
   std::atomic<std::size_t> allocated{0};
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> threads{0};  // threads that ran a block
+  std::atomic<std::size_t> narrow{0};   // blocks walked as int32_t
   const auto worker = [&](std::size_t chunk, std::size_t) {
     if (chunk == 0) {  // the caller's chunk
       for (std::size_t b = 0; b < lanes; b += kPackBlock) {
@@ -250,19 +302,13 @@ std::vector<std::vector<Count>> run_packed(
         allocated.store(e, std::memory_order_release);
       }
     }
-    const Rows rows{block_buffer(width * kPackBlock), kPackBlock};
+    const BlockBuffers buffers = block_buffers(cells);
     LayerTimes times(plan);
     std::size_t ran = 0;
-    for (std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
-         k < blocks; k = next.fetch_add(1, std::memory_order_relaxed)) {
-      const std::size_t b = k * kPackBlock;
-      const std::size_t n = std::min(kPackBlock, lanes - b);
-      for (std::size_t j = 0; j < n; ++j) {
-        const Count* in = inputs[b + j].data();
-        for (std::size_t w = 0; w < width; ++w) {
-          rows.base[w * kPackBlock + j] = in[w];
-        }
-      }
+    std::size_t ran_narrow = 0;
+    // Walks a packed block of n lanes from lane b, then unpacks it.
+    const auto walk_and_unpack = [&](auto rows, std::size_t b,
+                                     std::size_t n) {
       if (n == kPackBlock) {
         run_lanes<S, kPackBlock>(plan, rows, 0, kPackBlock, times);
       } else {
@@ -275,12 +321,31 @@ std::vector<std::vector<Count>> run_packed(
         outs[b + j].resize(width);  // within capacity: no allocation
         Count* out = outs[b + j].data();
         for (std::size_t i = 0; i < width; ++i) {
-          out[i] = rows.row(order[i])[j];
+          out[i] = static_cast<Count>(rows.row(order[i])[j]);
         }
       }
       ran += n;
+    };
+    for (std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
+         k < blocks; k = next.fetch_add(1, std::memory_order_relaxed)) {
+      const std::size_t b = k * kPackBlock;
+      const std::size_t n = std::min(kPackBlock, lanes - b);
+      if constexpr (S == Semantics::kComparator) {
+        const Rows<std::int32_t> rows{buffers.narrow, kPackBlock};
+        if (pack_block(inputs, b, n, rows)) {
+          walk_and_unpack(rows, b, n);
+          ++ran_narrow;
+          continue;
+        }
+      }
+      const Rows<Count> rows{buffers.wide, kPackBlock};
+      pack_block(inputs, b, n, rows);
+      walk_and_unpack(rows, b, n);
     }
     if (ran > 0) threads.fetch_add(1, std::memory_order_relaxed);
+    if (ran_narrow > 0) {
+      narrow.fetch_add(ran_narrow, std::memory_order_relaxed);
+    }
     times.record(plan, ran);
   };
   if (pool == nullptr) {
@@ -288,6 +353,9 @@ std::vector<std::vector<Count>> run_packed(
   } else {
     pool->parallel_for(std::min(pool->size(), blocks), 1, worker);
     SCNET_HISTOGRAM_RECORD("engine.batch.threads", threads.load());
+  }
+  if constexpr (S == Semantics::kComparator) {
+    SCNET_HISTOGRAM_RECORD("engine.batch.narrow_blocks", narrow.load());
   }
   return outs;
 }
@@ -308,7 +376,8 @@ void run_plan(const ExecutionPlan& plan, std::span<Count> values) {
   check_length("run_plan", plan, values.size());
   SCNET_COUNTER_ADD("engine.run.scalar", 1);
   SCNET_TRACE_SPAN("engine", "run_plan");
-  run_range<Semantics::kComparator, 1>(plan, Rows{values.data(), 1}, 0, 1);
+  run_range<Semantics::kComparator, 1>(plan, Rows<Count>{values.data(), 1},
+                                       0, 1);
 }
 
 std::vector<Count> plan_comparator_output(const ExecutionPlan& plan,
@@ -322,7 +391,8 @@ void run_plan_counts(const ExecutionPlan& plan, std::span<Count> counts) {
   check_length("run_plan_counts", plan, counts.size());
   SCNET_COUNTER_ADD("engine.run.scalar", 1);
   SCNET_TRACE_SPAN("engine", "run_plan_counts");
-  run_range<Semantics::kBalancer, 1>(plan, Rows{counts.data(), 1}, 0, 1);
+  run_range<Semantics::kBalancer, 1>(plan, Rows<Count>{counts.data(), 1},
+                                     0, 1);
 }
 
 std::vector<Count> plan_output_counts(const ExecutionPlan& plan,

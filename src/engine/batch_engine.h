@@ -15,10 +15,15 @@
 //     64-lane block at a time: each block is packed into a per-thread
 //     buffer (row stride 64), walked through the whole plan and unpacked
 //     into its output vectors while it is still in L1. A full block's lane
-//     loops have a constant trip count. Given a ThreadPool, its threads
-//     (the caller among them) take blocks from one shared counter until
-//     none are left, while the caller first allocates the outputs in block
-//     order; a block is unpacked once its outputs exist.
+//     loops have a constant trip count. The lane type is chosen per block:
+//     plan_sort_batch walks a block at 32-bit lanes when every value in it
+//     fits in int32_t (a compare-exchange only compares and moves, so the
+//     outputs are the same) and at 64-bit lanes otherwise; counts always
+//     walk at 64 bits, since a balancer adds. On AVX-512 targets the walk
+//     uses 512-bit vectors. Given a ThreadPool, its threads (the caller
+//     among them) take blocks from one shared counter until none are
+//     left, while the caller allocates the outputs in block order; a block
+//     is unpacked once its outputs exist.
 // No synchronization is needed between layers or blocks, and a lane's
 // result cannot depend on which thread ran it — determinism is structural.
 //

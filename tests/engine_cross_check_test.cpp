@@ -11,11 +11,14 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <numeric>
 #include <ostream>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "baseline/batcher.h"
@@ -422,6 +425,133 @@ TEST(PackedOverlap, CallerIsTheOnlyThread) {
   expect_packed_outputs(one, Overlap::kCallerOnly);
   ThreadPool pool(4);
   expect_packed_outputs(pool, Overlap::kNested);
+}
+
+// plan_sort_batch walks a block at 32-bit lanes when every value in it
+// round-trips through int32_t, and at 64-bit lanes otherwise. Values at and
+// just past the int32_t range, blocks that hold one outlier among blocks
+// that fit, ragged last blocks of either kind and runs of equal keys must
+// all sort exactly as the interpreter sorts them, serially and pooled.
+constexpr Count kInt32Max = std::numeric_limits<std::int32_t>::max();
+constexpr Count kInt32Min = std::numeric_limits<std::int32_t>::min();
+constexpr Count kInt64Max = std::numeric_limits<Count>::max();
+constexpr Count kInt64Min = std::numeric_limits<Count>::min();
+
+std::vector<Network> lane_type_networks() {
+  // L(2^5) is the sort_batch workload's plan; K(2x3x2) sorts through
+  // compare-exchange expansions of wide gates; Batcher w=24 is not a power
+  // of two.
+  std::vector<Network> nets;
+  nets.push_back(make_l_network({2, 2, 2, 2, 2}));
+  nets.push_back(make_k_network({2, 3, 2}));
+  nets.push_back(make_batcher_network(24));
+  return nets;
+}
+
+// `lanes` vectors of values in [0, 1000), drawn from `rng`.
+std::vector<std::vector<Count>> small_values(std::mt19937_64& rng,
+                                             std::size_t width,
+                                             std::size_t lanes) {
+  std::vector<std::vector<Count>> inputs(lanes, std::vector<Count>(width));
+  for (std::vector<Count>& in : inputs) {
+    for (Count& x : in) x = static_cast<Count>(rng() % 1000);
+  }
+  return inputs;
+}
+
+void expect_sorted_like_interpreter(
+    const Network& net, const std::vector<std::vector<Count>>& inputs,
+    const std::string& what) {
+  const ExecutionPlan plan = compile_plan(net);
+  std::vector<std::vector<Count>> expected;
+  expected.reserve(inputs.size());
+  for (const std::vector<Count>& in : inputs) {
+    expected.push_back(comparator_output_counts(net, in));
+  }
+  ASSERT_EQ(plan_sort_batch(plan, inputs), expected)
+      << what << ", serial, width " << net.width();
+  for (const std::size_t threads : {1u, 4u}) {
+    ThreadPool pool(threads);
+    ASSERT_EQ(plan_sort_batch(plan, inputs, &pool), expected)
+        << what << ", pool of " << threads << ", width " << net.width();
+  }
+}
+
+TEST(LaneType, ValuesAtAndPastTheInt32Range) {
+  const std::vector<Count> edges = {kInt32Max,     kInt32Min,
+                                    kInt32Max + 1, kInt32Min - 1,
+                                    kInt64Min,     kInt64Max};
+  std::mt19937_64 rng(101);
+  for (const Network& net : lane_type_networks()) {
+    // Each edge value alone in an otherwise small block, at a lane and wire
+    // that move from block to block; then blocks mixing all of them.
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      auto inputs = small_values(rng, net.width(), 3 * 64);
+      for (std::size_t k = 0; k < 3; ++k) {
+        inputs[64 * k + 7 * k + e][(3 * k + e) % net.width()] = edges[e];
+      }
+      expect_sorted_like_interpreter(net, inputs,
+                                     "edge value " + std::to_string(edges[e]));
+    }
+    auto inputs = small_values(rng, net.width(), 130);
+    for (std::size_t j = 0; j < inputs.size(); ++j) {
+      for (std::size_t w = 0; w < net.width(); w += 2) {
+        inputs[j][w] = edges[(j + w) % edges.size()];
+      }
+    }
+    expect_sorted_like_interpreter(net, inputs, "mixed edge values");
+    // The int32_t range exactly: every block fits.
+    for (std::vector<Count>& in : inputs) {
+      for (std::size_t w = 0; w < in.size(); ++w) {
+        in[w] = w % 2 == 0 ? kInt32Max : kInt32Min;
+      }
+    }
+    expect_sorted_like_interpreter(net, inputs, "int32 extremes");
+  }
+}
+
+TEST(LaneType, OneOutlierAmongBlocksThatFit) {
+  // Five blocks of small values; one lane of the third holds a value just
+  // past the int32_t range, so that block alone walks at 64 bits.
+  std::mt19937_64 rng(102);
+  for (const Network& net : lane_type_networks()) {
+    for (const Count outlier : {kInt32Max + 1, kInt32Min - 1}) {
+      auto inputs = small_values(rng, net.width(), 5 * 64);
+      inputs[2 * 64 + 41][net.width() / 2] = outlier;
+      expect_sorted_like_interpreter(net, inputs,
+                                     "outlier " + std::to_string(outlier));
+    }
+  }
+}
+
+TEST(LaneType, RaggedLastBlockThatFitsAndThatDoesNot) {
+  std::mt19937_64 rng(103);
+  for (const Network& net : lane_type_networks()) {
+    auto inputs = small_values(rng, net.width(), 3 * 64 + 17);
+    expect_sorted_like_interpreter(net, inputs, "ragged block that fits");
+    inputs.back()[0] = kInt64Max;
+    inputs[3 * 64][net.width() - 1] = kInt32Min - 1;
+    expect_sorted_like_interpreter(net, inputs,
+                                   "ragged block that does not fit");
+  }
+}
+
+TEST(LaneType, ManyEqualKeys) {
+  std::mt19937_64 rng(104);
+  for (const Network& net : lane_type_networks()) {
+    for (const Count key : {Count{0}, Count{7}, kInt32Max, kInt32Max + 1}) {
+      std::vector<std::vector<Count>> inputs(
+          129, std::vector<Count>(net.width(), key));
+      expect_sorted_like_interpreter(net, inputs,
+                                     "all keys " + std::to_string(key));
+    }
+    // Three distinct keys, so most compare-exchanges see a tie.
+    auto inputs = small_values(rng, net.width(), 129);
+    for (std::vector<Count>& in : inputs) {
+      for (Count& x : in) x %= 3;
+    }
+    expect_sorted_like_interpreter(net, inputs, "three keys");
+  }
 }
 
 }  // namespace

@@ -501,6 +501,49 @@ TEST(Metrics, PooledBatchRecordsTheThreadsThatRanABlock) {
   }
 }
 
+TEST(Metrics, SortBatchRecordsTheBlocksWalkedAt32Bits) {
+  // engine.batch.narrow_blocks: one value per plan_sort_batch call, serial
+  // or pooled, recorded on the caller: the blocks whose values all fit in
+  // int32_t and so were walked at 32-bit lanes.
+  if (!obs::compiled_in()) GTEST_SKIP() << "engine metrics compiled out";
+  const ExecutionPlan plan = compile_plan(make_l_network({2, 2, 2, 2}));
+  constexpr std::size_t kLanes = 4097;  // 65 blocks of 64 lanes
+  constexpr std::uint64_t kBlocks = 65;
+  std::mt19937_64 rng(29);
+  std::vector<std::vector<Count>> inputs;
+  for (std::size_t j = 0; j < kLanes; ++j) {
+    inputs.push_back(random_count_vector(rng, plan.width(), 50));
+  }
+  std::vector<std::vector<Count>> one_wide = inputs;
+  one_wide[100][3] = Count{1} << 31;  // INT32_MAX + 1, in block 1
+  obs::Histogram& narrow =
+      obs::MetricsRegistry::shared().histogram("engine.batch.narrow_blocks");
+  const auto expect_narrow = [&](const auto& call, std::uint64_t blocks,
+                                 const std::string& what) {
+    const auto before = narrow.snapshot();
+    (void)call();
+    const auto after = narrow.snapshot();
+    ASSERT_EQ(after.count, before.count + 1) << what;
+    EXPECT_EQ(after.sum - before.sum, blocks) << what;
+  };
+  expect_narrow([&] { return plan_sort_batch(plan, inputs); }, kBlocks,
+                "serial");
+  expect_narrow([&] { return plan_sort_batch(plan, one_wide); },
+                kBlocks - 1, "serial, one wide block");
+  for (const std::size_t size : {1u, 3u, 8u}) {
+    ThreadPool pool(size);
+    const std::string threads = std::to_string(size) + " threads";
+    expect_narrow([&] { return plan_sort_batch(plan, inputs, &pool); },
+                  kBlocks, threads);
+    expect_narrow([&] { return plan_sort_batch(plan, one_wide, &pool); },
+                  kBlocks - 1, threads + ", one wide block");
+  }
+  const auto before_count = narrow.snapshot();
+  (void)plan_count_batch(plan, inputs);
+  EXPECT_EQ(narrow.snapshot().count, before_count.count)
+      << "counts are always walked at 64 bits and record nothing";
+}
+
 // ---------------------------------------------------------- visit probe
 
 TEST(VisitProbe, OffByDefaultAndEmpty) {
