@@ -1,16 +1,16 @@
 // E-ENG — compiled batch engine vs the per-gate interpreter.
 //
 // Sorts a large batch of random vectors through K / L / bitonic networks
-// four ways: per-gate interpreter (apply_comparators, one vector at a
-// time), compiled plan scalar, compiled plan SoA batch, and the SoA batch
-// sharded over the pool. The headline number is vectors/sec; the
-// acceptance bar for the engine is >= 3x interpreter throughput for the
-// single-threaded SoA batch on a width >= 24 network.
+// three ways: per-gate interpreter (apply_comparators, one vector at a
+// time), serial plan_sort_batch, and plan_sort_batch on the runtime's
+// pool. The headline number is vectors/sec; the acceptance bar for the
+// engine is >= 3x interpreter throughput for serial plan_sort_batch on a
+// width >= 24 network.
 //
-// Each (network, backend) row runs on a fresh private Runtime, sends the
-// network's compiled plan through the engine dispatcher once untimed (so
-// the threaded column does not time its pool's workers spawning) and then
-// keeps the best of 3 runs; the interpreter row is timed the same way.
+// Each (network, column) row runs on a fresh private Runtime, sorts
+// through the network's compiled plan once untimed (so the threaded
+// column does not time its pool's workers spawning) and then keeps the
+// best of 3 runs; the interpreter row is timed the same way.
 // Rows feed the acceptance gate, so they are measured one at a time.
 //
 // Two informational rows follow, each the median of 200 alternating calls
@@ -39,7 +39,6 @@
 #include "bench_common.h"
 #include "core/k_network.h"
 #include "core/l_network.h"
-#include "engine/backend.h"
 #include "engine/batch_engine.h"
 #include "engine/execution_plan.h"
 #include "opt/plan_cache.h"
@@ -73,25 +72,21 @@ struct Measurement {
   std::size_t width = 0;
   std::uint32_t depth = 0;
   double interp_vps = 0;    // vectors/sec, per-gate interpreter
-  double scalar_vps = 0;    // plan, scalar tier
-  double batch_vps = 0;     // plan, SoA batch tier
-  double threaded_vps = 0;  // plan, SoA batch over the pool
+  double batch_vps = 0;     // serial plan_sort_batch
+  double threaded_vps = 0;  // plan_sort_batch on the runtime's pool
 };
 
-/// Best-of-3 vectors/sec of `which` sorting kBatch random vectors through
-/// the network, on a fresh Runtime pinned to that backend.
-double backend_vps(const NetworkCase& c, EngineBackend which) {
-  Runtime::Options options;
-  options.backend = which;
-  Runtime rt(options);
+/// Best-of-3 vectors/sec of plan_sort_batch sorting kBatch random vectors
+/// through the network, serially or on the pool of a fresh Runtime.
+double plan_vps(const NetworkCase& c, bool pooled) {
+  Runtime rt;
   const Network net = c.build(rt);
   const CachedPlan cached = rt.compiled(net);
   const auto inputs = bench::random_inputs(net.width(), kBatch, 99);
+  ThreadPool* pool = pooled ? &rt.pool() : nullptr;
   std::vector<std::vector<Count>> out;
-  const auto call = [&] {
-    out = engine::sort_batch(*cached.plan, inputs, rt, which);
-  };
-  call();  // warm: a threaded runtime spawns its pool in its first call
+  const auto call = [&] { out = plan_sort_batch(*cached.plan, inputs, pool); };
+  call();  // warm: the pooled column spawns its pool in its first call
   double best = 0;
   for (int rep = 0; rep < 3; ++rep) {
     out = {};  // the last call's outputs are freed outside the timing
@@ -192,17 +187,16 @@ LaneTypes measure_lane_types() {
 std::vector<Measurement> measure_all() {
   const std::vector<NetworkCase>& cases = networks();
   std::vector<Measurement> ms(cases.size());
-  // Scalar and batch rows network by network, then the pool-using threaded
-  // rows, then the interpreter. Each row inherits the heap the rows before
+  // Serial rows network by network, then the pool-using threaded rows,
+  // then the interpreter. Each row inherits the heap the rows before
   // it left behind: on a 4-vCPU host, running the interpreter first moved
   // the K(2x3x4) and L(4x4x4) batch rows by about 20%, so the order is
   // fixed.
   for (std::size_t i = 0; i < cases.size(); ++i) {
-    ms[i].scalar_vps = backend_vps(cases[i], EngineBackend::kScalar);
-    ms[i].batch_vps = backend_vps(cases[i], EngineBackend::kBatch);
+    ms[i].batch_vps = plan_vps(cases[i], false);
   }
   for (std::size_t i = 0; i < cases.size(); ++i) {
-    ms[i].threaded_vps = backend_vps(cases[i], EngineBackend::kThreaded);
+    ms[i].threaded_vps = plan_vps(cases[i], true);
   }
   for (std::size_t i = 0; i < cases.size(); ++i) {
     Runtime rt;
@@ -226,9 +220,8 @@ bool emit_report(const std::vector<Measurement>& ms, const PoolSpeedup& pool,
   bench::print_header(
       "E-ENG  Compiled batch engine vs per-gate interpreter",
       "layer-scheduled SoA batches >= 3x interpreter throughput (w >= 24)");
-  std::printf("%-14s %5s %5s %12s %12s %12s %12s %8s\n", "network", "w", "d",
-              "interp v/s", "scalar v/s", "batch v/s", "threaded v/s",
-              "batch/x");
+  std::printf("%-14s %5s %5s %12s %12s %12s %8s\n", "network", "w", "d",
+              "interp v/s", "batch v/s", "threaded v/s", "batch/x");
   bench::print_row_rule();
   bench::JsonReport report("BENCH_engine.json", "engine_batch");
   bool all_pass = true;
@@ -236,17 +229,15 @@ bool emit_report(const std::vector<Measurement>& ms, const PoolSpeedup& pool,
     const double speedup = m.batch_vps / m.interp_vps;
     const bool pass = speedup >= 3.0;
     all_pass = all_pass && pass;
-    std::printf("%-14s %5zu %5u %12.0f %12.0f %12.0f %12.0f %7.2fx %s\n",
+    std::printf("%-14s %5zu %5u %12.0f %12.0f %12.0f %7.2fx %s\n",
                 m.network.c_str(), m.width, m.depth, m.interp_vps,
-                m.scalar_vps, m.batch_vps, m.threaded_vps, speedup,
-                bench::mark(pass));
+                m.batch_vps, m.threaded_vps, speedup, bench::mark(pass));
     report.begin_row();
     report.kv("network", m.network);
     report.kv("width", static_cast<std::uint64_t>(m.width));
     report.kv("depth", static_cast<std::uint64_t>(m.depth));
     report.kv("batch_size", static_cast<std::uint64_t>(kBatch));
     report.kv("interpreter_vps", m.interp_vps);
-    report.kv("plan_scalar_vps", m.scalar_vps);
     report.kv("plan_batch_vps", m.batch_vps);
     report.kv("plan_threaded_vps", m.threaded_vps);
     report.kv("batch_speedup", speedup);

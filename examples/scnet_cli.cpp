@@ -17,13 +17,8 @@
 //   scnet_cli count t0,t1,... < net.scnet    quiescent outputs for a load
 //   scnet_cli sort v0,v1,...  < net.scnet    comparator outputs for values
 //   scnet_cli sort --engine=plan v0,...      same, via the compiled engine
-//                                            (backend from SCNET_BACKEND,
-//                                            default auto)
-//   scnet_cli sort --engine=batch v0,...     compiled engine on a forced
-//                                            backend (auto|scalar|batch|
-//                                            threaded)
-//   scnet_cli sort --engine=plan --batch N   sort N random vectors (SoA
-//                                            batch, backend by dispatch)
+//   scnet_cli sort --engine=plan --batch N   sort N random vectors through
+//                                            engine::sort_batch
 //   scnet_cli saturate [--shards N] [--threads N] [--tokens N]
 //                      [--schedule KIND] [--factors 2x2x...]
 //                      [--seed S]          drive the sharded counting
@@ -98,8 +93,7 @@ int usage() {
                "[--overlay={none|contention}] [--tokens N] "
                "[--title T] < net.scnet\n"
                "  scnet_cli count <t0,t1,...> < net.scnet\n"
-               "  scnet_cli sort [--engine={interp|plan|auto|scalar|batch|"
-               "threaded}] "
+               "  scnet_cli sort [--engine={interp|plan}] "
                "<v0,v1,...> < net.scnet\n"
                "  scnet_cli sort --engine=plan --batch <N> [--seed <s>] "
                "< net.scnet\n"
@@ -285,21 +279,12 @@ int cmd_sort(Runtime& rt, const Network& net, int argc, char** argv) {
       values_arg = arg;
     }
   }
-  // `interp` is the per-gate interpreter; `plan` is the compiled engine
-  // under the runtime's backend request (SCNET_BACKEND, default auto); a
-  // backend name is the compiled engine with that backend forced.
-  std::optional<EngineBackend> forced;
+  // `interp` is the per-gate interpreter; `plan` is the compiled engine.
   if (engine != "interp" && engine != "plan") {
-    forced = parse_backend(engine);
-    if (!forced) {
-      std::fprintf(stderr,
-                   "unknown engine '%s' (valid: interp|plan|auto|scalar|"
-                   "batch|threaded)\n",
-                   engine.c_str());
-      return 2;
-    }
+    std::fprintf(stderr, "unknown engine '%s' (valid: interp|plan)\n",
+                 engine.c_str());
+    return 2;
   }
-  const EngineBackend backend_choice = forced ? *forced : rt.backend();
 
   if (batch > 0) {
     // Batch demo/throughput mode: sort `batch` random vectors through the
@@ -320,8 +305,7 @@ int cmd_sort(Runtime& rt, const Network& net, int argc, char** argv) {
                               static_cast<Count>(17 * net.width())));
     }
     const auto t0 = std::chrono::steady_clock::now();
-    const auto outs =
-        scn::engine::sort_batch(plan, inputs, rt, backend_choice);
+    const auto outs = scn::engine::sort_batch(plan, inputs, rt);
     const auto t1 = std::chrono::steady_clock::now();
     const double secs = std::chrono::duration<double>(t1 - t0).count();
     const bool agree =
@@ -345,7 +329,7 @@ int cmd_sort(Runtime& rt, const Network& net, int argc, char** argv) {
     out = comparator_output_counts(net, in);
   } else {
     const CachedPlan cached = rt.compiled(net);
-    out = scn::engine::sorted_output(*cached.plan, in, backend_choice);
+    out = scn::engine::sorted_output(*cached.plan, in);
   }
   std::printf("%s\n", format_sequence(out).c_str());
   return 0;

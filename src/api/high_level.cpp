@@ -63,13 +63,12 @@ Sorter::Sorter(std::size_t width, Options options)
 Sorter::Sorter(std::size_t width, Options /*options*/, Runtime& rt)
     : net_(make_batcher_network(width)) {
   plan_ = rt.compiled(net_).plan;
-  backend_ = rt.backend();
 }
 
 const ExecutionPlan& Sorter::plan() const { return *plan_; }
 
 void Sorter::sort(std::span<Count> values) const {
-  engine::sort_ascending(*plan_, values, backend_);
+  engine::sort_ascending(*plan_, values);
 }
 
 std::vector<Count> Sorter::sorted(std::span<const Count> values) const {

@@ -24,7 +24,6 @@
 #include <span>
 #include <vector>
 
-#include "core/cost_model.h"
 #include "count/fetch_inc.h"
 #include "net/network.h"
 #include "obs/metrics.h"
@@ -101,8 +100,7 @@ class Sorter {
   /// The Runtime-taking overloads build and compile against `rt`'s module
   /// and plan caches; the others use Runtime::shared(). The runtime is
   /// only used during construction — the Sorter keeps the plan alive
-  /// itself (and captures the runtime's engine-backend request, which
-  /// sort() dispatches under), so it may outlive the runtime.
+  /// itself, so it may outlive the runtime.
   explicit Sorter(std::size_t width);
   Sorter(std::size_t width, Runtime& rt);
   Sorter(std::size_t width, Options options);
@@ -127,7 +125,6 @@ class Sorter {
  private:
   Network net_;
   std::shared_ptr<const ExecutionPlan> plan_;
-  EngineBackend backend_ = EngineBackend::kAuto;
 };
 
 class Counter {

@@ -1,61 +1,12 @@
 #include "core/cost_model.h"
 
-#include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <vector>
 
 #include "core/factorization.h"
 #include "core/r_network.h"
-#include "perf/thread_pool.h"
 
 namespace scn {
-
-const char* to_string(EngineBackend backend) {
-  switch (backend) {
-    case EngineBackend::kAuto:
-      return "auto";
-    case EngineBackend::kScalar:
-      return "scalar";
-    case EngineBackend::kBatch:
-      return "batch";
-    case EngineBackend::kThreaded:
-      return "threaded";
-  }
-  return "auto";
-}
-
-std::optional<EngineBackend> parse_backend(std::string_view name) {
-  if (name == "auto") return EngineBackend::kAuto;
-  if (name == "scalar") return EngineBackend::kScalar;
-  if (name == "batch") return EngineBackend::kBatch;
-  if (name == "threaded") return EngineBackend::kThreaded;
-  return std::nullopt;
-}
-
-EngineBackend default_backend() {
-  const char* env = std::getenv("SCNET_BACKEND");
-  if (env == nullptr) return EngineBackend::kAuto;
-  return parse_backend(env).value_or(EngineBackend::kAuto);
-}
-
-MachineCaps machine_caps() {
-  MachineCaps caps;
-  caps.threads = default_thread_count();
-  return caps;
-}
-
-EngineBackend select_backend(const PlanShape& shape, std::size_t lanes,
-                             const MachineCaps& caps) {
-  if (lanes <= 1) return EngineBackend::kScalar;
-  const std::size_t gates =
-      std::max<std::size_t>(shape.pair_gates + shape.wide_gates, 1);
-  if (caps.threads > 1 && lanes >= kThreadedMinLanes &&
-      lanes * gates >= kThreadedMinWork) {
-    return EngineBackend::kThreaded;
-  }
-  return EngineBackend::kBatch;
-}
 
 BaseCost single_balancer_cost() {
   return [](std::size_t p, std::size_t q) -> NetworkCost {

@@ -10,11 +10,8 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <optional>
 #include <span>
-#include <string_view>
 
 #include "core/staircase_merger.h"
 
@@ -81,66 +78,5 @@ using BaseCost = std::function<NetworkCost(std::size_t p, std::size_t q)>;
 /// L(factors) = counting_cost with the R base and the rebalance-bitonic
 /// staircase.
 [[nodiscard]] NetworkCost l_cost(std::span<const std::size_t> factors);
-
-// ---------------------------------------------------------------------------
-// Engine backend selection (the execution-side half of the cost model).
-//
-// A compiled ExecutionPlan can run on any registered engine backend
-// (engine/backend.h); which one pays off is a cost question — plan shape x
-// batch size x machine capabilities — so the policy lives here, next to the
-// structural cost functions, and the engine layer consumes it.
-
-/// The registered execution backends. kAuto is a *request*, resolved by
-/// select_backend() against the plan shape and machine caps at dispatch
-/// time; the other three name concrete implementations.
-enum class EngineBackend : std::uint8_t {
-  kAuto = 0,
-  kScalar,    ///< one lane at a time, each walked alone (the reference)
-  kBatch,     ///< SoA batch, cache-blocked, auto-vectorized lane loops
-  kThreaded,  ///< SoA batch sharded over the runtime's ThreadPool
-};
-
-[[nodiscard]] const char* to_string(EngineBackend backend);
-
-/// Parses "auto" / "scalar" / "batch" / "threaded" (the CLI's
-/// --engine= values and the SCNET_BACKEND variable); nullopt on anything
-/// else.
-[[nodiscard]] std::optional<EngineBackend> parse_backend(
-    std::string_view name);
-
-/// The process-default backend request: SCNET_BACKEND when set to a valid
-/// name, else kAuto. Read per call — Runtime captures it at construction.
-[[nodiscard]] EngineBackend default_backend();
-
-/// The shape facts select_backend() scores a compiled plan by. The engine
-/// layer extracts this from an ExecutionPlan (engine::plan_shape); keeping
-/// the struct here lets the policy stay free of engine headers.
-struct PlanShape {
-  std::size_t pair_gates = 0;  ///< width-2 gates across all layers
-  std::size_t wide_gates = 0;  ///< gates wider than 2
-};
-
-/// What the host offers the backends.
-struct MachineCaps {
-  std::size_t threads = 1;  ///< worker threads a pool would get
-};
-
-/// Capabilities of this host: threads is default_thread_count().
-[[nodiscard]] MachineCaps machine_caps();
-
-/// Thresholds of the dispatch policy (exposed for tests and docs).
-inline constexpr std::size_t kThreadedMinLanes = 256;
-inline constexpr std::size_t kThreadedMinWork = 1u << 18;  ///< lanes x gates
-
-/// Picks the backend for running `lanes` independent input vectors through
-/// a plan of the given shape:
-///   * a single lane has no batch dimension to vectorize or shard over —
-///     scalar;
-///   * enough total work (lanes x gates >= kThreadedMinWork) over enough
-///     lanes on a multi-core host amortizes pool dispatch — threaded;
-///   * otherwise the auto-vectorized batch tier.
-[[nodiscard]] EngineBackend select_backend(const PlanShape& shape,
-                                           std::size_t lanes,
-                                           const MachineCaps& caps);
 
 }  // namespace scn

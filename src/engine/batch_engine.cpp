@@ -19,8 +19,6 @@
 namespace scn {
 namespace {
 
-using engine::Batch;
-
 // A plan revisits each row once per touching gate, so the walk runs the
 // WHOLE plan over one lane block before the next, and the revisits hit
 // cache. On a Batch's long rows a block is 256 lanes (2 KB row segments;
@@ -175,12 +173,16 @@ template <Semantics S, std::size_t kBlock, typename T>
   const bool traced = times.on();
   for (std::size_t b = lane_begin; b < lane_end; b += kBlock) {
     const std::size_t e = std::min(b + kBlock, lane_end);
+    // One clock read per layer boundary: each read ends one layer's time
+    // and starts the next one's.
+    Clock::time_point t0 = traced ? Clock::now() : Clock::time_point{};
     for (std::size_t i = 0; i < layers.size(); ++i) {
-      const Clock::time_point t0 = traced ? Clock::now() : Clock::time_point{};
       run_layer<S, kBlock, T>(plan, layers[i], rows, b, e);
       if (traced) {
+        const Clock::time_point t1 = Clock::now();
         times.add(i, static_cast<std::uint64_t>(
-                         std::chrono::nanoseconds(Clock::now() - t0).count()));
+                         std::chrono::nanoseconds(t1 - t0).count()));
+        t0 = t1;
       }
     }
   }
@@ -197,22 +199,18 @@ template <Semantics S, std::size_t kBlock>
   times.record(plan, lane_end - lane_begin);
 }
 
-template <Semantics S>
-void run_batch(const ExecutionPlan& plan, Batch<Count>& batch,
-               ThreadPool* pool, std::size_t grain) {
-  check_length(S == Semantics::kComparator ? "run_plan_batch"
-                                           : "run_plan_counts_batch",
-               plan, batch.width());
-  const Rows<Count> rows{batch.data(), batch.batch_size()};
-  const auto stripe = [&](std::size_t begin, std::size_t end) {
-    run_range<S, kBatchBlock>(plan, rows, begin, end);
-  };
-  // Lanes are independent, so results cannot depend on where the stripes
-  // fall.
-  if (pool == nullptr) {
-    stripe(0, batch.batch_size());
-  } else {
-    pool->parallel_for(batch.batch_size(), grain, stripe);
+// Writes lanes [0, n) of a walked block into outs[0, n), in output order.
+// The width and the order come in by value, so no Count store can alias
+// them and the per-value loop keeps both in registers.
+template <typename T>
+void unpack_block(Rows<T> rows, std::span<const Wire> order, std::size_t n,
+                  std::vector<Count>* outs) {
+  for (std::size_t j = 0; j < n; ++j) {
+    outs[j].resize(order.size());  // within capacity: no allocation
+    Count* out = outs[j].data();
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      out[i] = static_cast<Count>(rows.row(order[i])[j]);
+    }
   }
 }
 
@@ -317,13 +315,7 @@ std::vector<std::vector<Count>> run_packed(
       spin_until([&] {
         return allocated.load(std::memory_order_acquire) >= b + n;
       });
-      for (std::size_t j = 0; j < n; ++j) {
-        outs[b + j].resize(width);  // within capacity: no allocation
-        Count* out = outs[b + j].data();
-        for (std::size_t i = 0; i < width; ++i) {
-          out[i] = static_cast<Count>(rows.row(order[i])[j]);
-        }
-      }
+      unpack_block(rows, order, n, outs.data() + b);
       ran += n;
     };
     for (std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
@@ -404,19 +396,21 @@ std::vector<Count> plan_output_counts(const ExecutionPlan& plan,
 
 void run_plan_batch(const ExecutionPlan& plan, engine::Batch<Count>& batch,
                     ThreadPool* pool, std::size_t min_lanes_per_task) {
+  check_length("run_plan_batch", plan, batch.width());
   SCNET_COUNTER_ADD("engine.run.batch", 1);
   SCNET_HISTOGRAM_RECORD("engine.batch.lanes", batch.batch_size());
   SCNET_TRACE_SPAN("engine", "run_plan_batch");
-  run_batch<Semantics::kComparator>(plan, batch, pool, min_lanes_per_task);
-}
-
-void run_plan_counts_batch(const ExecutionPlan& plan,
-                           engine::Batch<Count>& batch, ThreadPool* pool,
-                           std::size_t min_lanes_per_task) {
-  SCNET_COUNTER_ADD("engine.run.batch", 1);
-  SCNET_HISTOGRAM_RECORD("engine.batch.lanes", batch.batch_size());
-  SCNET_TRACE_SPAN("engine", "run_plan_counts_batch");
-  run_batch<Semantics::kBalancer>(plan, batch, pool, min_lanes_per_task);
+  const Rows<Count> rows{batch.data(), batch.batch_size()};
+  const auto stripe = [&](std::size_t begin, std::size_t end) {
+    run_range<Semantics::kComparator, kBatchBlock>(plan, rows, begin, end);
+  };
+  // Lanes are independent, so results cannot depend on where the stripes
+  // fall.
+  if (pool == nullptr) {
+    stripe(0, batch.batch_size());
+  } else {
+    pool->parallel_for(batch.batch_size(), min_lanes_per_task, stripe);
+  }
 }
 
 std::vector<std::vector<Count>> plan_sort_batch(

@@ -81,12 +81,6 @@ void run_plan_batch(const ExecutionPlan& plan, engine::Batch<Count>& batch,
                     ThreadPool* pool = nullptr,
                     std::size_t min_lanes_per_task = 64);
 
-/// Same for count propagation.
-void run_plan_counts_batch(const ExecutionPlan& plan,
-                           engine::Batch<Count>& batch,
-                           ThreadPool* pool = nullptr,
-                           std::size_t min_lanes_per_task = 64);
-
 // ---------------------------------------------------------------------------
 // Vectors in, vectors out: packed and unpacked one block at a time.
 

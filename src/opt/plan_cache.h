@@ -82,8 +82,8 @@ class PlanCache {
   PlanCache& operator=(const PlanCache&) = delete;
 
   /// Returns the compiled plan for `net`, compiling (and caching) on miss.
-  /// Thread-safe. The plan is the same under every engine backend and
-  /// both semantics, so callers pick those at dispatch time, not here.
+  /// Thread-safe. The plan is the same for serial and pooled walks and
+  /// both semantics, so callers pick those when they run it, not here.
   [[nodiscard]] CachedPlan compiled(const Network& net);
 
   [[nodiscard]] PlanCacheStats stats() const;

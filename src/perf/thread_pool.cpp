@@ -50,10 +50,14 @@ std::size_t default_thread_count() {
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
-ThreadPool::ThreadPool(std::size_t threads) {
+std::size_t pool_thread_count(std::size_t threads) {
   // The ceiling keeps a job's chunk count within its 16-bit field.
-  threads = std::min(threads == 0 ? default_thread_count() : threads,
-                     kMaxThreadCount);
+  return std::min(threads == 0 ? default_thread_count() : threads,
+                  kMaxThreadCount);
+}
+
+ThreadPool::ThreadPool(std::size_t threads) {
+  threads = pool_thread_count(threads);
   const int creator = sched_getcpu();
   for (std::size_t t = 1; t < threads; ++t) {
     workers_.emplace_back([this, creator] { worker_loop(creator); });

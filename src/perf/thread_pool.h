@@ -32,6 +32,10 @@ namespace scn {
 /// not spawn eighty thousand workers.
 inline constexpr std::size_t kMaxThreadCount = 512;
 
+/// The threads ThreadPool(threads) runs on: 0 => default_thread_count(),
+/// at most kMaxThreadCount.
+[[nodiscard]] std::size_t pool_thread_count(std::size_t threads);
+
 /// Waits until `ready()` holds, pausing and then yielding between checks.
 template <typename Ready>
 void spin_until(const Ready& ready) {

@@ -1,8 +1,8 @@
 #include "runtime/runtime.h"
 
+#include <atomic>
 #include <mutex>
 
-#include "core/cost_model.h"
 #include "core/module.h"
 #include "obs/metrics.h"
 #include "opt/plan_cache.h"
@@ -12,7 +12,10 @@ namespace scn {
 
 struct Runtime::Impl {
   Options opts;
-  EngineBackend backend = EngineBackend::kAuto;
+  // pool_thread_count(opts.threads) once resolved, 0 before: resolving
+  // it reads the environment and asks the OS for the CPU count, which a
+  // runtime that never runs a batch (a service shard's) need not pay.
+  std::atomic<std::size_t> threads{0};
   bool is_shared = false;
 
   // Owned slots are null for shared(); the raw pointers always point at
@@ -35,7 +38,6 @@ Runtime::Runtime() : Runtime(Options{}) {}
 
 Runtime::Runtime(const Options& options) : impl_(std::make_unique<Impl>()) {
   impl_->opts = options;
-  impl_->backend = options.backend.value_or(default_backend());
   // Registry first: the caches' constructors register their counters and
   // gauges into it (and Impl members destroy in reverse order, so the
   // registry outlives the caches that publish through it).
@@ -53,7 +55,6 @@ Runtime::Runtime(const Options& options) : impl_(std::make_unique<Impl>()) {
 
 Runtime::Runtime(SharedTag) : impl_(std::make_unique<Impl>()) {
   impl_->is_shared = true;
-  impl_->backend = default_backend();
   impl_->registry = &obs::MetricsRegistry::shared();
   impl_->modules = &ModuleCache::shared();
   impl_->plans = &PlanCache::shared();
@@ -72,14 +73,22 @@ ThreadPool& Runtime::pool() {
     if (impl_->is_shared) {
       impl_->pool = &ThreadPool::shared();
     } else {
-      impl_->owned_pool = std::make_unique<ThreadPool>(impl_->opts.threads);
+      impl_->owned_pool = std::make_unique<ThreadPool>(threads());
       impl_->pool = impl_->owned_pool.get();
     }
   });
   return *impl_->pool;
 }
 
-EngineBackend Runtime::backend() const { return impl_->backend; }
+std::size_t Runtime::threads() const {
+  // Racing first calls resolve the same count, so either store may win.
+  std::size_t n = impl_->threads.load();
+  if (n == 0) {
+    n = pool_thread_count(impl_->opts.threads);
+    impl_->threads.store(n);
+  }
+  return n;
+}
 
 CachedPlan Runtime::compiled(const Network& net) {
   return impl_->plans->compiled(net);

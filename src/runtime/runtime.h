@@ -32,7 +32,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <optional>
 
@@ -43,12 +42,6 @@ namespace scn {
 class ModuleCache;
 class ThreadPool;
 
-// Opaque redeclaration of core/cost_model.h's backend enum: this header
-// sits below core/ in the include graph (core constructors take Runtime&),
-// so including cost_model.h here would cycle. The fixed underlying type
-// makes the opaque form complete enough for the Options field below.
-enum class EngineBackend : std::uint8_t;
-
 namespace obs {
 class MetricsRegistry;
 }  // namespace obs
@@ -57,8 +50,9 @@ class Runtime {
  public:
   /// Construction-time configuration. Every field has an "inherit the
   /// environment" default, so `Runtime{}` behaves like a fresh copy of the
-  /// process defaults: the SCNET_MODULE_CACHE / SCNET_BACKEND /
-  /// SCNET_THREADS variables are read ONCE here, never per call.
+  /// process defaults: SCNET_MODULE_CACHE is read ONCE here, and
+  /// SCNET_THREADS once on the first threads() or pool() call; neither is
+  /// read per call.
   struct Options {
     /// Threads a pool() call runs on, counting the caller: pool() spawns
     /// threads - 1 workers. 0 defers to SCNET_THREADS, then
@@ -69,10 +63,6 @@ class Runtime {
     /// Whether the module cache interns templates (false => the imperative
     /// construction path). nullopt => SCNET_MODULE_CACHE != "0".
     std::optional<bool> module_cache;
-    /// Engine backend request this runtime's plans are dispatched under
-    /// (see engine/backend.h). nullopt => SCNET_BACKEND (else kAuto), read
-    /// once at construction like the other environment defaults.
-    std::optional<EngineBackend> backend;
   };
 
   /// A fully private runtime: fresh caches, a fresh metrics registry the
@@ -97,12 +87,15 @@ class Runtime {
   /// This runtime's worker pool, created on first use (shared() hands out
   /// the process-wide pool).
   [[nodiscard]] ThreadPool& pool();
+  /// The threads pool() runs a call on, counting the caller: Options::
+  /// threads resolved as ThreadPool resolves it, on the first call of this
+  /// or pool(), without spawning the pool. engine::sort_batch uses the
+  /// pool only when this exceeds 1.
+  [[nodiscard]] std::size_t threads() const;
 
-  /// The engine backend request this runtime's callers hand the engine
-  /// dispatcher (resolved once at construction from Options::backend /
-  /// SCNET_BACKEND). kAuto defers the concrete choice to the dispatcher
-  /// per call.
-  [[nodiscard]] EngineBackend backend() const;
+  /// Kept for scbench: defined, with the rest of its shim, in the
+  /// commented block of engine/backend.h.
+  [[nodiscard]] auto backend() const;
 
   /// Compiles (or fetches) the plan for `net`, as constructed, through
   /// THIS runtime's plan cache. Runtime-scoped equivalent of

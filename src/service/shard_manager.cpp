@@ -7,7 +7,7 @@
 #include <thread>
 
 #include "core/k_network.h"
-#include "engine/backend.h"
+#include "engine/batch_engine.h"
 #include "obs/metrics.h"
 #include "opt/plan_cache.h"
 #include "verify/checkers.h"
@@ -236,10 +236,10 @@ ShardManager::LinearityReport ShardManager::verify_linearity() const {
     }
     if (routed > 0) {
       // Engine cross-check: propagate the shard's routed total through its
-      // compiled plan (balancer semantics) on the shard's own runtime and
-      // backend request. A counting network's quiescent output depends only
-      // on the total, so the dispatched count engine must reproduce the
-      // concurrent traversal's counts exactly, whatever backend resolves.
+      // compiled plan (balancer semantics) from the shard's own runtime. A
+      // counting network's quiescent output depends only on the total, so
+      // the count engine must reproduce the concurrent traversal's counts
+      // exactly.
       Shard& shard = *shards_[j];
       const CachedPlan cached = shard.runtime.compiled(shard.network);
       std::vector<Count> in(shard.network.width());
@@ -247,7 +247,7 @@ ShardManager::LinearityReport ShardManager::verify_linearity() const {
         in[w] = static_cast<Count>(ceil_share(routed, w, in.size()));
       }
       const std::vector<Count> engine_counts =
-          engine::counts_output(*cached.plan, in, shard.runtime.backend());
+          plan_output_counts(*cached.plan, in);
       if (engine_counts != counts) {
         report.detail = "shard " + std::to_string(j) +
                         " engine cross-check mismatch: concurrent " +

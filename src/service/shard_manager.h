@@ -131,8 +131,8 @@ class ShardManager final : public FetchIncCounter {
   /// exactly {0 .. D - 1}: every shard's outputs are THE step sequence of
   /// its dispatch share ceil((D-r)/S). Each shard's counts are
   /// additionally cross-checked against the count engine (the shard's
-  /// compiled plan run through the backend dispatcher on its private
-  /// runtime), pinning the concurrent path to the engine's propagation.
+  /// compiled plan, from its private runtime, run by plan_output_counts),
+  /// pinning the concurrent path to the engine's propagation.
   /// Requires quiescence.
   [[nodiscard]] LinearityReport verify_linearity() const;
 

@@ -17,7 +17,7 @@ std::vector<Count> network_sort_ascending(const Network& net,
                                           Runtime& rt) {
   const CachedPlan cached = rt.compiled(net);
   std::vector<Count> out =
-      engine::sorted_output(*cached.plan, values, rt.backend());
+      engine::sorted_output(*cached.plan, values);
   std::reverse(out.begin(), out.end());
   return out;
 }

@@ -4,7 +4,7 @@
 #include <memory>
 #include <mutex>
 
-#include "engine/backend.h"
+#include "engine/batch_engine.h"
 #include "engine/execution_plan.h"
 #include "opt/plan_cache.h"
 #include "perf/thread_pool.h"
@@ -46,11 +46,7 @@ CountingVerdict verify_counting_parallel(const Network& net,
     }
     std::uint64_t local_checked = 0;
     for (auto& in : inputs) {
-      // Per-input dispatch: single vectors resolve to the scalar tier
-      // under `auto`, and a runtime pinned to a backend gets that backend
-      // (bit-identical either way).
-      std::vector<Count> out =
-          engine::counts_output(plan, in, rt.backend());
+      std::vector<Count> out = plan_output_counts(plan, in);
       ++local_checked;
       if (!has_step_property(out)) {
         const std::lock_guard<std::mutex> lock(mu);

@@ -122,8 +122,7 @@ TEST(Cli, SortRejectsUnknownEngineListingValidNames) {
                              " sort --engine=warp 3,1,4,1");
   EXPECT_EQ(r.exit_code, 2);
   EXPECT_NE(r.output.find("unknown engine 'warp'"), std::string::npos);
-  EXPECT_NE(r.output.find("interp|plan|auto|scalar|batch|threaded"),
-            std::string::npos);
+  EXPECT_NE(r.output.find("(valid: interp|plan)"), std::string::npos);
 }
 
 TEST(Cli, SortRejectsRemovedSimdEngine) {
@@ -131,20 +130,22 @@ TEST(Cli, SortRejectsRemovedSimdEngine) {
                              " sort --engine=simd 3,1,4,1");
   EXPECT_EQ(r.exit_code, 2);
   EXPECT_NE(r.output.find("unknown engine 'simd'"), std::string::npos);
-  EXPECT_NE(r.output.find("interp|plan|auto|scalar|batch|threaded"),
-            std::string::npos);
+  EXPECT_NE(r.output.find("(valid: interp|plan)"), std::string::npos);
 }
 
-TEST(Cli, SortForcedBackendsMatchInterpreter) {
+TEST(Cli, SortRejectsRemovedBackendNames) {
+  // The engine decides by itself whether a batch goes to the pool, so the
+  // backend names are no longer engines.
   const std::string build = kCli + " build K 2x2";
-  const auto interp = run_command(build + " | " + kCli + " sort 3,1,4,1");
-  ASSERT_EQ(interp.exit_code, 0);
-  for (const std::string engine :
-       {"auto", "scalar", "batch", "threaded"}) {
+  for (const std::string engine : {"auto", "scalar", "batch", "threaded"}) {
     const auto r = run_command(build + " | " + kCli + " sort --engine=" +
                                engine + " 3,1,4,1");
-    EXPECT_EQ(r.exit_code, 0) << engine;
-    EXPECT_EQ(r.output, interp.output) << engine;
+    EXPECT_EQ(r.exit_code, 2) << engine;
+    EXPECT_NE(r.output.find("unknown engine '" + engine + "'"),
+              std::string::npos)
+        << engine;
+    EXPECT_NE(r.output.find("(valid: interp|plan)"), std::string::npos)
+        << engine;
   }
 }
 

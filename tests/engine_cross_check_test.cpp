@@ -1,6 +1,6 @@
 // Cross-engine agreement matrix: for a grid of (network, load) pairs, the
 // quiescent outputs of every execution engine must coincide:
-//   count propagation == compiled plan (scalar, batch, threaded batch)
+//   count propagation == compiled plan (one lane, serial batch, pooled batch)
 //   == token sim (all policies) == manual router == concurrent threads
 //   == event sim.
 // This is the strongest single guard against a divergence bug in any one
@@ -208,54 +208,44 @@ TEST(EngineCrossCheck, AllEnginesAgreeOnQuiescentOutputs) {
   }
 }
 
-TEST(EngineCrossCheck, AllBackendsBitIdenticalToScalar) {
-  // Randomized sweep over every registered engine backend: for each grid
-  // network (K/L/R widths with >2-wide gates, plus the width-2-only
-  // baselines) and a spread of batch sizes — odd ones, both sides of the
-  // packed entries' 64-lane blocks and of the SoA walk's 256-lane blocks,
-  // and one lane past a multiple of both — the batched comparator and
-  // count outputs must be bit-identical to the scalar reference backend,
-  // lane by lane. This is the contract that makes backend choice a pure
-  // performance decision.
+TEST(EngineCrossCheck, PooledAndSerialWalksMatchInterpreters) {
+  // Randomized sweep: for each grid network (K/L/R widths with >2-wide
+  // gates, plus the width-2-only baselines) and a spread of batch sizes —
+  // odd ones, both sides of the packed entries' 64-lane blocks and of the
+  // SoA walk's 256-lane blocks, and one lane past a multiple of both — the
+  // serial and pooled batch walks and engine::sort_batch must give each
+  // lane exactly the per-gate interpreter's comparator output and count
+  // propagation's counts. This is what makes the pool decision a pure
+  // performance one.
   std::mt19937_64 rng(42);
-  Runtime rt;
+  Runtime::Options four;
+  four.threads = 4;
+  Runtime rt(four);
   for (const GridCase& c : grid()) {
     const Network& net = c.net;
     const ExecutionPlan plan = compile_plan(net);
     for (const std::size_t lanes :
          {1u, 7u, 33u, 63u, 64u, 65u, 127u, 128u, 129u, 257u, 4097u}) {
       std::vector<std::vector<Count>> inputs;
-      inputs.reserve(lanes);
+      std::vector<std::vector<Count>> sorted;
+      std::vector<std::vector<Count>> counted;
       for (std::size_t j = 0; j < lanes; ++j) {
         inputs.push_back(random_count_vector(
             rng, net.width(), 1 + static_cast<Count>(rng() % 200)));
+        sorted.push_back(comparator_output_counts(net, inputs.back()));
+        counted.push_back(output_counts(net, inputs.back()));
       }
-      const auto ref_sort =
-          engine::sort_batch(plan, inputs, rt, EngineBackend::kScalar);
-      const auto ref_count =
-          engine::count_batch(plan, inputs, rt, EngineBackend::kScalar);
-      // The scalar reference must itself agree with the per-gate
-      // interpreter before anything is pinned against it.
-      for (std::size_t j = 0; j < lanes; ++j) {
-        ASSERT_EQ(ref_sort[j], comparator_output_counts(net, inputs[j]))
-            << "scalar vs interpreter, lane " << j;
-        ASSERT_EQ(ref_count[j], output_counts(net, inputs[j]))
-            << "scalar vs count propagation, lane " << j;
-      }
-      for (const EngineBackend b : engine::registered_backends()) {
-        ASSERT_EQ(engine::sort_batch(plan, inputs, rt, b), ref_sort)
-            << to_string(b) << " sort, " << lanes << " lanes, width "
-            << net.width();
-        ASSERT_EQ(engine::count_batch(plan, inputs, rt, b), ref_count)
-            << to_string(b) << " counts, " << lanes << " lanes, width "
-            << net.width();
-      }
-      ASSERT_EQ(engine::sort_batch(plan, inputs, rt, EngineBackend::kAuto),
-                ref_sort)
-          << "auto sort, " << lanes << " lanes";
-      ASSERT_EQ(engine::count_batch(plan, inputs, rt, EngineBackend::kAuto),
-                ref_count)
-          << "auto counts, " << lanes << " lanes";
+      const std::string where = std::to_string(lanes) + " lanes, width " +
+                                std::to_string(net.width());
+      ASSERT_EQ(plan_sort_batch(plan, inputs), sorted) << "serial, " << where;
+      ASSERT_EQ(plan_sort_batch(plan, inputs, &rt.pool()), sorted)
+          << "pooled, " << where;
+      ASSERT_EQ(plan_count_batch(plan, inputs), counted)
+          << "serial counts, " << where;
+      ASSERT_EQ(plan_count_batch(plan, inputs, &rt.pool()), counted)
+          << "pooled counts, " << where;
+      ASSERT_EQ(engine::sort_batch(plan, inputs, rt), sorted)
+          << "engine::sort_batch, " << where;
     }
   }
 }
@@ -320,23 +310,15 @@ TEST_P(ThreadedStriping, BitIdenticalToSerialBatchAndInterpreters) {
     // stripe whenever lanes >= threads.
     const engine::Batch<Count> packed =
         engine::pack_batch<Count>(inputs, net.width());
-    engine::Batch<Count> serial_sort = packed;
-    engine::Batch<Count> serial_count = packed;
-    run_plan_batch(plan, serial_sort);
-    run_plan_counts_batch(plan, serial_count);
+    engine::Batch<Count> serial = packed;
+    run_plan_batch(plan, serial);
     for (const std::size_t grain : {1u, 3u, 64u}) {
-      engine::Batch<Count> striped_sort = packed;
-      engine::Batch<Count> striped_count = packed;
-      run_plan_batch(plan, striped_sort, &pool, grain);
-      run_plan_counts_batch(plan, striped_count, &pool, grain);
+      engine::Batch<Count> striped = packed;
+      run_plan_batch(plan, striped, &pool, grain);
       const std::size_t cells = net.width() * lanes;
-      ASSERT_TRUE(std::equal(striped_sort.data(),
-                             striped_sort.data() + cells, serial_sort.data()))
+      ASSERT_TRUE(
+          std::equal(striped.data(), striped.data() + cells, serial.data()))
           << "sort, grain " << grain << ", width " << net.width();
-      ASSERT_TRUE(std::equal(striped_count.data(),
-                             striped_count.data() + cells,
-                             serial_count.data()))
-          << "count, grain " << grain << ", width " << net.width();
     }
   }
 }

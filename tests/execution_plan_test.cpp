@@ -15,11 +15,9 @@
 #include "core/k_network.h"
 #include "core/l_network.h"
 #include "core/r_network.h"
-#include "engine/backend.h"
 #include "engine/batch_engine.h"
 #include "engine/execution_plan.h"
 #include "perf/thread_pool.h"
-#include "runtime/runtime.h"
 #include "seq/generators.h"
 #include "sim/comparator_sim.h"
 #include "sim/count_sim.h"
@@ -150,7 +148,7 @@ TEST(ExecutionPlan, ScalarRunMatchesInterpreter) {
 
 TEST(ExecutionPlan, WrongLengthVectorThrows) {
   const ExecutionPlan plan = compile_plan(make_l_network({3, 2, 2}));
-  Runtime rt;
+  ThreadPool pool(3);
   for (const std::size_t n : {plan.width() - 1, plan.width() + 1}) {
     std::vector<Count> v(n, 1);
     EXPECT_THROW(run_plan(plan, v), std::invalid_argument) << n;
@@ -159,17 +157,14 @@ TEST(ExecutionPlan, WrongLengthVectorThrows) {
         << n;
     EXPECT_THROW((void)plan_output_counts(plan, v), std::invalid_argument)
         << n;
-    engine::Batch<Count> batch(n, 4);
-    EXPECT_THROW(run_plan_batch(plan, batch), std::invalid_argument) << n;
-    EXPECT_THROW(run_plan_counts_batch(plan, batch), std::invalid_argument)
-        << n;
-    // Every backend rejects a wrong-width batch, even one with no lanes.
-    for (const EngineBackend b : engine::registered_backends()) {
+    // The serial and the pooled walk reject a wrong-width batch, even one
+    // with no lanes.
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
       for (const std::size_t lanes : {std::size_t{0}, std::size_t{4}}) {
         engine::Batch<Count> wrong(n, lanes);
-        EXPECT_THROW(engine::backend(b).run_batch(plan, wrong, rt),
-                     std::invalid_argument)
-            << to_string(b) << ", width " << n << ", " << lanes << " lanes";
+        EXPECT_THROW(run_plan_batch(plan, wrong, p), std::invalid_argument)
+            << (p == nullptr ? "serial" : "pooled") << ", width " << n
+            << ", " << lanes << " lanes";
       }
     }
   }
