@@ -1,8 +1,9 @@
 // Structural anatomy tables: per-layer profiles, wire utilization and
 // occupancy for the main constructions at width 64 — the data a hardware
 // or shared-memory deployment sizes against — plus a construction-
-// throughput section (builds/sec through the module cache vs the
-// imperative path; bench_construct has the full sweep and the CI gate).
+// throughput section (builds/sec with the module cache's templates
+// resident vs built afresh; bench_construct has the full sweep and the CI
+// gate).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -13,8 +14,8 @@
 #include "bench_common.h"
 #include "core/k_network.h"
 #include "core/l_network.h"
-#include "core/module.h"
 #include "net/analyze.h"
+#include "runtime/runtime.h"
 
 namespace {
 
@@ -51,43 +52,44 @@ void print_table() {
   print_profile("batcher64", make_batcher_network(64));
 }
 
-double builds_per_second(const std::function<Network()>& build) {
+/// Builds per second of `build` on `rt`; `cold` clears the runtime's
+/// caches before every build, so each one builds its templates afresh.
+double builds_per_second(const std::function<Network(Runtime&)>& build,
+                         Runtime& rt, bool cold) {
   // Time enough builds to clear clock resolution even for tiny widths.
   constexpr int kReps = 50;
   const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < kReps; ++i) benchmark::DoNotOptimize(build());
+  for (int i = 0; i < kReps; ++i) {
+    if (cold) rt.clear_caches();
+    benchmark::DoNotOptimize(build(rt));
+  }
   const auto t1 = std::chrono::steady_clock::now();
   return kReps / std::chrono::duration<double>(t1 - t0).count();
 }
 
 void print_construction_throughput() {
   bench::print_header("Construction throughput at width 64",
-                      "builds/sec: module-cache stamping vs the imperative "
-                      "path (SCNET_MODULE_CACHE=0)");
+                      "builds/sec: stamping resident templates (warm) vs "
+                      "building them on a cleared cache (cold)");
   const struct {
     const char* name;
-    std::function<Network()> build;
+    std::function<Network(Runtime&)> build;
   } rows[] = {
-      {"K(4x4x4)", [] { return make_k_network({4, 4, 4}); }},
-      {"K(2^6)", [] { return make_k_network({2, 2, 2, 2, 2, 2}); }},
-      {"L(4x4x4)", [] { return make_l_network({4, 4, 4}); }},
+      {"K(4x4x4)", [](Runtime& rt) { return make_k_network({4, 4, 4}, rt); }},
+      {"K(2^6)",
+       [](Runtime& rt) { return make_k_network({2, 2, 2, 2, 2, 2}, rt); }},
+      {"L(4x4x4)", [](Runtime& rt) { return make_l_network({4, 4, 4}, rt); }},
   };
-  std::printf("%-12s %14s %14s %8s\n", "network", "stamped/s", "imperative/s",
+  std::printf("%-12s %14s %14s %8s\n", "network", "warm/s", "cold/s",
               "speedup");
   bench::print_row_rule();
   for (const auto& row : rows) {
-    double stamped = 0, imperative = 0;
-    {
-      ScopedModuleCacheToggle on(true);
-      (void)row.build();  // warm the shared cache
-      stamped = builds_per_second(row.build);
-    }
-    {
-      ScopedModuleCacheToggle off(false);
-      imperative = builds_per_second(row.build);
-    }
-    std::printf("%-12s %14.0f %14.0f %7.1fx\n", row.name, stamped, imperative,
-                stamped / imperative);
+    Runtime rt;
+    const double cold = builds_per_second(row.build, rt, /*cold=*/true);
+    (void)row.build(rt);  // leave the templates resident
+    const double warm = builds_per_second(row.build, rt, /*cold=*/false);
+    std::printf("%-12s %14.0f %14.0f %7.1fx\n", row.name, warm, cold,
+                warm / cold);
   }
   std::printf("\n");
 }

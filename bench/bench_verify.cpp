@@ -43,9 +43,8 @@ void print_table() {
 
   const Network count_net = make_k_network({4, 4});
   const bool seq_ok = verify_counting(count_net).ok;
-  ParallelVerifyOptions opts;
-  opts.threads = 2;
-  const bool par_ok = verify_counting_parallel(count_net, opts).ok;
+  Runtime two(Runtime::Options{.threads = 2});
+  const bool par_ok = verify_counting_parallel(count_net, {}, two).ok;
   const bool counting_agree = seq_ok == par_ok;
   std::printf("width 16: sequential vs parallel counting verdicts agree: "
               "%s\n\n",
@@ -94,10 +93,10 @@ BENCHMARK(BM_SequentialCountingVerify);
 
 void BM_ParallelCountingVerify(benchmark::State& state) {
   const Network net = make_k_network({4, 4});
-  ParallelVerifyOptions opts;
-  opts.threads = static_cast<std::size_t>(state.range(0));
+  Runtime rt(
+      Runtime::Options{.threads = static_cast<std::size_t>(state.range(0))});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(verify_counting_parallel(net, opts).ok);
+    benchmark::DoNotOptimize(verify_counting_parallel(net, {}, rt).ok);
   }
 }
 BENCHMARK(BM_ParallelCountingVerify)->Arg(1)->Arg(2)->Arg(4);

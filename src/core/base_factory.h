@@ -15,7 +15,7 @@
 // therefore participate in module cache keys, letting S/M/C instantiations
 // that embed them intern their templates. An arbitrary callable is kCustom
 // and opts the enclosing construction out of interning (it builds through
-// the original imperative path).
+// its imperative `_cold` body inline).
 #pragma once
 
 #include <functional>

@@ -8,8 +8,7 @@
 namespace scn {
 namespace {
 
-/// The imperative D(p, q) body — the module template builder, and the
-/// direct path when interning is disabled.
+/// The imperative D(p, q) body: the module template builder.
 std::vector<Wire> bitonic_converter_cold(NetworkBuilder& builder,
                                          std::span<const Wire> x,
                                          std::size_t p, std::size_t q) {
@@ -38,19 +37,11 @@ std::vector<Wire> build_bitonic_converter(NetworkBuilder& builder,
                                           std::size_t p, std::size_t q) {
   assert(p >= 1 && q >= 1);
   assert(x.size() == p * q);
-  ModuleCache& cache = module_cache_for(builder);
-  if (!cache.enabled()) {
-    return bitonic_converter_cold(builder, x, p, q);
-  }
-  const auto tmpl = cache.intern(
-      ModuleKey{.kind = ModuleKind::kBitonicConverter, .params = {p, q}},
-      [&] {
-        NetworkBuilder b(p * q, builder.module_cache());
-        const std::vector<Wire> all = identity_order(p * q);
-        std::vector<Wire> out = bitonic_converter_cold(b, all, p, q);
-        return std::move(b).finish(std::move(out));
+  return stamp_module(
+      builder, {.kind = ModuleKind::kBitonicConverter, .params = {p, q}}, x,
+      [&](NetworkBuilder& b, std::span<const Wire> all) {
+        return bitonic_converter_cold(b, all, p, q);
       });
-  return builder.stamp(*tmpl, x);
 }
 
 Network make_bitonic_converter_network(std::size_t p, std::size_t q,

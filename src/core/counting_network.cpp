@@ -9,10 +9,9 @@
 namespace scn {
 namespace {
 
-/// The imperative C(p0..pn-1) induction (n >= 3) — the module template
-/// builder, and the direct path for custom bases or when interning is
-/// disabled. Sub-counters and the merger go through the public
-/// (module-cached) entry points.
+/// The imperative C(p0..pn-1) induction (n >= 3): the module template
+/// builder, and the direct path for custom bases. Sub-counters and the
+/// merger go through the public (module-cached) entry points.
 std::vector<Wire> counting_cold(NetworkBuilder& builder,
                                 std::span<const Wire> wires,
                                 std::span<const std::size_t> factors,
@@ -50,21 +49,17 @@ std::vector<Wire> build_counting(NetworkBuilder& builder,
     return base(builder, wires, factors[0], factors[1]);
   }
 
-  if (!base.cacheable() || !module_cache_for(builder).enabled()) {
+  if (!base.cacheable()) {
     return counting_cold(builder, wires, factors, base, variant);
   }
-  ModuleKey key;
-  key.kind = ModuleKind::kCounting;
-  key.base = static_cast<std::uint8_t>(base.kind());
-  key.variant = static_cast<std::uint8_t>(variant);
-  key.params.assign(factors.begin(), factors.end());
-  const auto tmpl = module_cache_for(builder).intern(key, [&] {
-    NetworkBuilder b(wires.size(), builder.module_cache());
-    const std::vector<Wire> all = identity_order(wires.size());
-    std::vector<Wire> out = counting_cold(b, all, factors, base, variant);
-    return std::move(b).finish(std::move(out));
-  });
-  return builder.stamp(*tmpl, wires);
+  const ModuleKey key{.kind = ModuleKind::kCounting,
+                      .base = static_cast<std::uint8_t>(base.kind()),
+                      .variant = static_cast<std::uint8_t>(variant),
+                      .params = {factors.begin(), factors.end()}};
+  return stamp_module(builder, key, wires,
+                      [&](NetworkBuilder& b, std::span<const Wire> all) {
+                        return counting_cold(b, all, factors, base, variant);
+                      });
 }
 
 Network make_counting_network(std::span<const std::size_t> factors,

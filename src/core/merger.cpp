@@ -9,10 +9,10 @@
 namespace scn {
 namespace {
 
-/// The imperative M(p0..pn-1) induction (n >= 3) — the module template
-/// builder, and the direct path for custom bases or when interning is
-/// disabled. Recursive sub-mergers and the staircase combiner go through
-/// the public (module-cached) entry points.
+/// The imperative M(p0..pn-1) induction (n >= 3): the module template
+/// builder, and the direct path for custom bases. Recursive sub-mergers
+/// and the staircase combiner go through the public (module-cached) entry
+/// points.
 std::vector<Wire> merger_cold(NetworkBuilder& builder,
                               std::span<const std::vector<Wire>> inputs,
                               std::span<const std::size_t> factors,
@@ -62,55 +62,32 @@ std::vector<Wire> build_merger(NetworkBuilder& builder,
   if (n == 2) {
     // M(p0, p1) = C(p0, p1) on the concatenated inputs (the base interns
     // its own template when it is an R network).
-    std::vector<Wire> all;
-    all.reserve(factors[0] * p_last);
-    for (const auto& in : inputs) all.insert(all.end(), in.begin(), in.end());
-    return base(builder, all, factors[0], p_last);
+    return base(builder, concat_wires(inputs), factors[0], p_last);
   }
-
-  if (!base.cacheable() || !module_cache_for(builder).enabled()) {
+  if (!base.cacheable()) {
     return merger_cold(builder, inputs, factors, base, variant);
   }
   // Canonical template: input i on wires [i*in_len, (i+1)*in_len) in order.
-  const std::size_t width = product(factors);
-  ModuleKey key;
-  key.kind = ModuleKind::kMerger;
-  key.base = static_cast<std::uint8_t>(base.kind());
-  key.variant = static_cast<std::uint8_t>(variant);
-  key.params.assign(factors.begin(), factors.end());
-  const auto tmpl = module_cache_for(builder).intern(key, [&] {
-    NetworkBuilder b(width, builder.module_cache());
-    std::vector<std::vector<Wire>> canonical(p_last);
-    for (std::size_t i = 0; i < p_last; ++i) {
-      canonical[i].resize(in_len);
-      for (std::size_t j = 0; j < in_len; ++j) {
-        canonical[i][j] = static_cast<Wire>(i * in_len + j);
-      }
-    }
-    std::vector<Wire> out = merger_cold(b, canonical, factors, base, variant);
-    return std::move(b).finish(std::move(out));
-  });
-  std::vector<Wire> concat;
-  concat.reserve(width);
-  for (const auto& in : inputs) concat.insert(concat.end(), in.begin(), in.end());
-  return builder.stamp(*tmpl, concat);
+  const ModuleKey key{.kind = ModuleKind::kMerger,
+                      .base = static_cast<std::uint8_t>(base.kind()),
+                      .variant = static_cast<std::uint8_t>(variant),
+                      .params = {factors.begin(), factors.end()}};
+  return stamp_module(
+      builder, key, concat_wires(inputs),
+      [&](NetworkBuilder& b, std::span<const Wire> all) {
+        return merger_cold(b, split_wires(all, p_last), factors, base,
+                           variant);
+      });
 }
 
 Network make_merger_network(std::span<const std::size_t> factors,
                             const BaseFactory& base, StaircaseVariant variant,
                             Runtime& rt) {
   const std::size_t w = product(factors);
-  const std::size_t p_last = factors.back();
-  const std::size_t in_len = w / p_last;
   NetworkBuilder builder(w, &rt.module_cache());
-  std::vector<std::vector<Wire>> inputs(p_last);
-  for (std::size_t i = 0; i < p_last; ++i) {
-    inputs[i].resize(in_len);
-    for (std::size_t j = 0; j < in_len; ++j) {
-      inputs[i][j] = static_cast<Wire>(i * in_len + j);
-    }
-  }
-  std::vector<Wire> out = build_merger(builder, inputs, factors, base, variant);
+  std::vector<Wire> out =
+      build_merger(builder, split_wires(identity_order(w), factors.back()),
+                   factors, base, variant);
   return std::move(builder).finish(std::move(out));
 }
 

@@ -1,11 +1,9 @@
 #include "core/module.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -56,16 +54,10 @@ struct KeyHash {
 
 }  // namespace
 
-bool ModuleCache::default_enabled() {
-  const char* v = std::getenv("SCNET_MODULE_CACHE");
-  return v == nullptr || std::string_view(v) != "0";
-}
-
 struct ModuleCache::Impl {
   mutable std::mutex mu;
   std::unordered_map<ModuleKey, std::shared_ptr<const Network>, KeyHash> table;
   std::size_t bytes = 0;
-  std::atomic<bool> enabled{true};
 
   // Local counters by default; rebound to MetricsRegistry::shared()
   // counters when constructed with a metric prefix (see plan_cache.cpp
@@ -91,9 +83,6 @@ struct ModuleCache::Impl {
 };
 
 ModuleCache::ModuleCache() : impl_(std::make_unique<Impl>()) {}
-
-ModuleCache::ModuleCache(const char* metric_prefix)
-    : ModuleCache(metric_prefix, obs::MetricsRegistry::shared()) {}
 
 ModuleCache::ModuleCache(const char* metric_prefix,
                          obs::MetricsRegistry& reg)
@@ -133,14 +122,6 @@ std::shared_ptr<const Network> ModuleCache::intern(
   return it->second;
 }
 
-bool ModuleCache::enabled() const {
-  return impl_->enabled.load(std::memory_order_relaxed);
-}
-
-void ModuleCache::set_enabled(bool enabled) {
-  impl_->enabled.store(enabled, std::memory_order_relaxed);
-}
-
 ModuleCacheStats ModuleCache::stats() const {
   const std::lock_guard<std::mutex> lock(impl_->mu);
   ModuleCacheStats out;
@@ -166,12 +147,29 @@ void ModuleCache::clear() {
 }
 
 ModuleCache& ModuleCache::shared() {
-  static ModuleCache* cache = [] {
-    auto* c = new ModuleCache("module_cache");
-    c->set_enabled(default_enabled());
-    return c;
-  }();
+  static ModuleCache* cache =
+      new ModuleCache("module_cache", obs::MetricsRegistry::shared());
   return *cache;
+}
+
+std::vector<std::vector<Wire>> split_wires(std::span<const Wire> wires,
+                                           std::size_t parts) {
+  const std::size_t len = wires.size() / parts;
+  std::vector<std::vector<Wire>> out(parts);
+  for (std::size_t i = 0; i < parts; ++i) {
+    const auto chunk = wires.subspan(i * len, len);
+    out[i].assign(chunk.begin(), chunk.end());
+  }
+  return out;
+}
+
+std::vector<Wire> concat_wires(std::span<const std::vector<Wire>> chunks) {
+  std::size_t width = 0;
+  for (const auto& c : chunks) width += c.size();
+  std::vector<Wire> out;
+  out.reserve(width);
+  for (const auto& c : chunks) out.insert(out.end(), c.begin(), c.end());
+  return out;
 }
 
 }  // namespace scn

@@ -21,13 +21,17 @@
 // variant, integer params) and hashed with the same FNV discipline as the
 // plan cache (opt/fnv.h). Templates are immutable and shared_ptr-held, so
 // concurrent builders can stamp from the same template without copies.
-// Set SCNET_MODULE_CACHE=0 (or set_enabled(false)) to disable interning
-// and fall back to the original imperative construction path.
+// Interning is the only construction path for cacheable bases: every
+// constructor hands its key and its imperative `_cold` body to
+// stamp_module(), which runs the body once per key (on identity wires, to
+// build the template) and stamps every instantiation. Only a custom base
+// factory, whose gates the key cannot name, runs its `_cold` body inline.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "net/network.h"
@@ -83,10 +87,8 @@ class ModuleCache {
   /// As the default constructor, but publishes this instance's statistics
   /// through `registry` under `<metric_prefix>.hits` / `.misses` (counters)
   /// and `.entries` / `.bytes` (gauges). The registry must outlive the
-  /// cache. The single-argument overload binds to the process-wide
-  /// registry; plain instances keep purely local counters.
+  /// cache. Plain instances keep purely local counters.
   ModuleCache(const char* metric_prefix, obs::MetricsRegistry& registry);
-  explicit ModuleCache(const char* metric_prefix);
 
   ~ModuleCache();
 
@@ -99,18 +101,6 @@ class ModuleCache {
   /// the first-inserted template.
   [[nodiscard]] std::shared_ptr<const Network> intern(
       const ModuleKey& key, const std::function<Network()>& build);
-
-  /// Interning toggle. Constructors consult this to pick the stamped vs
-  /// imperative path; defaults to the SCNET_MODULE_CACHE env var (any value
-  /// but "0" enables) for the shared() instance, true otherwise.
-  [[nodiscard]] bool enabled() const;
-  void set_enabled(bool enabled);
-
-  /// The environment-derived default for the interning toggle:
-  /// SCNET_MODULE_CACHE set to "0" disables, anything else (or unset)
-  /// enables. shared() starts from this; Runtime construction resolves
-  /// Options::module_cache against it.
-  [[nodiscard]] static bool default_enabled();
 
   [[nodiscard]] ModuleCacheStats stats() const;
 
@@ -128,32 +118,35 @@ class ModuleCache {
   std::unique_ptr<Impl> impl_;
 };
 
-/// The interning table a construction should stamp against: the cache the
-/// builder carries (attached by a Runtime-threaded make_* entry point), or
-/// the process-wide cache when none is attached. Every ModuleCache::shared()
-/// consult in src/core/ routes through this.
-[[nodiscard]] inline ModuleCache& module_cache_for(
-    const NetworkBuilder& builder) {
-  ModuleCache* cache = builder.module_cache();
-  return cache != nullptr ? *cache : ModuleCache::shared();
+/// Interns the template for `key` and stamps it through `wires`, the
+/// caller's logical input span. On the first request `cold` — the
+/// module's imperative body, called as `cold(NetworkBuilder&,
+/// std::span<const Wire> inputs)` and returning the output order — builds
+/// the template on a fresh builder over the identity span 0..n-1
+/// (sub-modules intern through the same cache). The cache is the one
+/// `builder` carries (attached by a Runtime-threaded make_* entry point),
+/// or the process-wide cache when none is attached.
+template <typename Cold>
+[[nodiscard]] std::vector<Wire> stamp_module(NetworkBuilder& builder,
+                                             const ModuleKey& key,
+                                             std::span<const Wire> wires,
+                                             const Cold& cold) {
+  ModuleCache* attached = builder.module_cache();
+  ModuleCache& cache = attached != nullptr ? *attached : ModuleCache::shared();
+  const auto tmpl = cache.intern(key, [&] {
+    NetworkBuilder b(wires.size(), attached);
+    std::vector<Wire> out = cold(b, identity_order(wires.size()));
+    return std::move(b).finish(std::move(out));
+  });
+  return builder.stamp(*tmpl, wires);
 }
 
-/// RAII guard flipping a cache's enabled flag (tests exercise the
-/// imperative path in-process with this); defaults to the shared cache.
-class ScopedModuleCacheToggle {
- public:
-  explicit ScopedModuleCacheToggle(bool enabled,
-                                   ModuleCache& cache = ModuleCache::shared())
-      : cache_(cache), previous_(cache.enabled()) {
-    cache_.set_enabled(enabled);
-  }
-  ~ScopedModuleCacheToggle() { cache_.set_enabled(previous_); }
-  ScopedModuleCacheToggle(const ScopedModuleCacheToggle&) = delete;
-  ScopedModuleCacheToggle& operator=(const ScopedModuleCacheToggle&) = delete;
+/// `wires` cut into `parts` consecutive chunks of equal length.
+[[nodiscard]] std::vector<std::vector<Wire>> split_wires(
+    std::span<const Wire> wires, std::size_t parts);
 
- private:
-  ModuleCache& cache_;
-  bool previous_;
-};
+/// The chunks concatenated in order.
+[[nodiscard]] std::vector<Wire> concat_wires(
+    std::span<const std::vector<Wire>> chunks);
 
 }  // namespace scn

@@ -11,14 +11,6 @@
 namespace scn {
 namespace {
 
-/// Two-merger wrapper tolerating empty sides (degenerate quadrants).
-std::vector<Wire> merge2(NetworkBuilder& builder, std::span<const Wire> x0,
-                         std::span<const Wire> x1, std::size_t p) {
-  if (x0.empty()) return {x1.begin(), x1.end()};
-  if (x1.empty()) return {x0.begin(), x0.end()};
-  return build_two_merger(builder, x0, x1, p);
-}
-
 /// Steps a rectangular quadrant of shape (sq*sq) x cnt (B with sq = p̂,
 /// cnt = q̄; C with sq = q̂, cnt = p̄): split the cnt extent in half, count
 /// each part with a 3-factor K, merge with T(sq², cnt0, cnt1).
@@ -39,7 +31,7 @@ std::vector<Wire> step_rect(NetworkBuilder& builder,
       build_k_network(builder, region.first(sq * sq * c0), f0);
   const std::vector<Wire> b1 =
       build_k_network(builder, region.subspan(sq * sq * c0), f1);
-  return merge2(builder, b0, b1, sq * sq);
+  return build_two_merger(builder, b0, b1, sq * sq);
 }
 
 /// Steps the D quadrant (p̄ x q̄): four single balancers on the quarters,
@@ -65,13 +57,13 @@ std::vector<Wire> step_d(NetworkBuilder& builder, std::span<const Wire> region,
   const std::vector<Wire> d2 = stepify(take(p1 * q0));
   const std::vector<Wire> d3 = stepify(take(p1 * q1));
   assert(at == region.size());
-  const std::vector<Wire> d01 = merge2(builder, d0, d1, p0);
-  const std::vector<Wire> d23 = merge2(builder, d2, d3, p1);
-  return merge2(builder, d01, d23, rq);
+  const std::vector<Wire> d01 = build_two_merger(builder, d0, d1, p0);
+  const std::vector<Wire> d23 = build_two_merger(builder, d2, d3, p1);
+  return build_two_merger(builder, d01, d23, rq);
 }
 
-/// The imperative R(p, q) quadrant construction — the module template
-/// builder, and the direct path when interning is disabled.
+/// The imperative R(p, q) quadrant construction: the module template
+/// builder.
 std::vector<Wire> r_network_cold(NetworkBuilder& builder,
                                  std::span<const Wire> wires, std::size_t p,
                                  std::size_t q) {
@@ -103,9 +95,10 @@ std::vector<Wire> r_network_cold(NetworkBuilder& builder,
   // T(p̂², q̂², q̄) merges A and B; T(p̄, q̂², q̄) merges C and D;
   // T(q, p̂², p̄) merges the halves. Row balancer widths: q̂²+q̄ = q and
   // p̂²+p̄ = p; column widths p̂², p̄, q — all <= max(p, q).
-  const std::vector<Wire> ab = merge2(builder, a_step, b_step, hp * hp);
-  const std::vector<Wire> cd = merge2(builder, c_step, d_step, rp);
-  return merge2(builder, ab, cd, q);
+  const std::vector<Wire> ab =
+      build_two_merger(builder, a_step, b_step, hp * hp);
+  const std::vector<Wire> cd = build_two_merger(builder, c_step, d_step, rp);
+  return build_two_merger(builder, ab, cd, q);
 }
 
 }  // namespace
@@ -122,18 +115,11 @@ std::vector<Wire> build_r_network(NetworkBuilder& builder,
                                   std::size_t q) {
   assert(p >= 2 && q >= 2);
   assert(wires.size() == p * q);
-  ModuleCache& cache = module_cache_for(builder);
-  if (!cache.enabled()) {
-    return r_network_cold(builder, wires, p, q);
-  }
-  const auto tmpl = cache.intern(
-      ModuleKey{.kind = ModuleKind::kRNetwork, .params = {p, q}}, [&] {
-        NetworkBuilder b(p * q, builder.module_cache());
-        const std::vector<Wire> all = identity_order(p * q);
-        std::vector<Wire> out = r_network_cold(b, all, p, q);
-        return std::move(b).finish(std::move(out));
+  return stamp_module(
+      builder, {.kind = ModuleKind::kRNetwork, .params = {p, q}}, wires,
+      [&](NetworkBuilder& b, std::span<const Wire> all) {
+        return r_network_cold(b, all, p, q);
       });
-  return builder.stamp(*tmpl, wires);
 }
 
 Network make_r_network(std::size_t p, std::size_t q, Runtime& rt) {

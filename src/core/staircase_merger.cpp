@@ -40,8 +40,8 @@ void merge_blocks(NetworkBuilder& builder, Blocks& blocks, std::size_t lo,
   blocks[hi].assign(merged.begin() + static_cast<long>(half), merged.end());
 }
 
-/// The imperative S(r, p, q) body — the module template builder, and the
-/// direct path for custom bases or when interning is disabled.
+/// The imperative S(r, p, q) body: the module template builder, and the
+/// direct path for custom bases.
 std::vector<Wire> staircase_merger_cold(
     NetworkBuilder& builder, std::span<const std::vector<Wire>> inputs,
     std::size_t r, std::size_t p, std::size_t q, const BaseFactory& base,
@@ -164,33 +164,20 @@ std::vector<Wire> build_staircase_merger(NetworkBuilder& builder,
     assert(in.size() == r * p);
     (void)in;
   }
-  if (!base.cacheable() || !module_cache_for(builder).enabled()) {
+  if (!base.cacheable()) {
     return staircase_merger_cold(builder, inputs, r, p, q, base, variant);
   }
   // Canonical template: input i on wires [i*r*p, (i+1)*r*p) in order.
-  const std::size_t width = r * p * q;
-  ModuleKey key;
-  key.kind = ModuleKind::kStaircaseMerger;
-  key.base = static_cast<std::uint8_t>(base.kind());
-  key.variant = static_cast<std::uint8_t>(variant);
-  key.params = {r, p, q};
-  const auto tmpl = module_cache_for(builder).intern(key, [&] {
-    NetworkBuilder b(width, builder.module_cache());
-    std::vector<std::vector<Wire>> canonical(q);
-    for (std::size_t i = 0; i < q; ++i) {
-      canonical[i].resize(r * p);
-      for (std::size_t j = 0; j < r * p; ++j) {
-        canonical[i][j] = static_cast<Wire>(i * r * p + j);
-      }
-    }
-    std::vector<Wire> out =
-        staircase_merger_cold(b, canonical, r, p, q, base, variant);
-    return std::move(b).finish(std::move(out));
-  });
-  std::vector<Wire> concat;
-  concat.reserve(width);
-  for (const auto& in : inputs) concat.insert(concat.end(), in.begin(), in.end());
-  return builder.stamp(*tmpl, concat);
+  const ModuleKey key{.kind = ModuleKind::kStaircaseMerger,
+                      .base = static_cast<std::uint8_t>(base.kind()),
+                      .variant = static_cast<std::uint8_t>(variant),
+                      .params = {r, p, q}};
+  return stamp_module(
+      builder, key, concat_wires(inputs),
+      [&](NetworkBuilder& b, std::span<const Wire> all) {
+        return staircase_merger_cold(b, split_wires(all, q), r, p, q, base,
+                                     variant);
+      });
 }
 
 Network make_staircase_merger_network(std::size_t r, std::size_t p,
@@ -198,15 +185,8 @@ Network make_staircase_merger_network(std::size_t r, std::size_t p,
                                       StaircaseVariant variant, Runtime& rt) {
   const std::size_t width = r * p * q;
   NetworkBuilder builder(width, &rt.module_cache());
-  std::vector<std::vector<Wire>> inputs(q);
-  for (std::size_t i = 0; i < q; ++i) {
-    inputs[i].resize(r * p);
-    for (std::size_t j = 0; j < r * p; ++j) {
-      inputs[i][j] = static_cast<Wire>(i * r * p + j);
-    }
-  }
-  std::vector<Wire> out =
-      build_staircase_merger(builder, inputs, r, p, q, base, variant);
+  std::vector<Wire> out = build_staircase_merger(
+      builder, split_wires(identity_order(width), q), r, p, q, base, variant);
   return std::move(builder).finish(std::move(out));
 }
 

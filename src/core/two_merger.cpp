@@ -55,8 +55,8 @@ std::vector<Wire> balance_columns_and_emit(NetworkBuilder& builder,
   return out;
 }
 
-/// The imperative gate-by-gate T(p, q0, q1) body — the module template
-/// builder, and the direct path when interning is disabled.
+/// The imperative gate-by-gate T(p, q0, q1) body: the module template
+/// builder.
 std::vector<Wire> two_merger_cold(NetworkBuilder& builder,
                                   std::span<const Wire> x0,
                                   std::span<const Wire> x1, std::size_t p) {
@@ -107,24 +107,23 @@ std::vector<Wire> stamp_two_merger(NetworkBuilder& builder,
                                    std::span<const Wire> x0,
                                    std::span<const Wire> x1, std::size_t p,
                                    bool capped) {
-  const std::size_t width = x0.size() + x1.size();
-  ModuleKey key;
-  key.kind = capped ? ModuleKind::kTwoMergerCapped : ModuleKind::kTwoMerger;
-  key.params = {p, x0.size() / p, x1.size() / p};
-  const auto tmpl = module_cache_for(builder).intern(key, [&] {
-    NetworkBuilder b(width, builder.module_cache());
-    const std::vector<Wire> all = identity_order(width);
-    const std::span<const Wire> c0(all.data(), x0.size());
-    const std::span<const Wire> c1(all.data() + x0.size(), x1.size());
-    std::vector<Wire> out = capped ? two_merger_capped_cold(b, c0, c1, p)
-                                   : two_merger_cold(b, c0, c1, p);
-    return std::move(b).finish(std::move(out));
-  });
+  if (x0.empty()) return {x1.begin(), x1.end()};
+  if (x1.empty()) return {x0.begin(), x0.end()};
+  assert(p >= 1);
+  assert(x0.size() % p == 0 && x1.size() % p == 0);
+  const ModuleKey key{
+      .kind = capped ? ModuleKind::kTwoMergerCapped : ModuleKind::kTwoMerger,
+      .params = {p, x0.size() / p, x1.size() / p}};
   std::vector<Wire> concat;
-  concat.reserve(width);
+  concat.reserve(x0.size() + x1.size());
   concat.insert(concat.end(), x0.begin(), x0.end());
   concat.insert(concat.end(), x1.begin(), x1.end());
-  return builder.stamp(*tmpl, concat);
+  const std::size_t n0 = x0.size();
+  const auto cold = capped ? two_merger_capped_cold : two_merger_cold;
+  return stamp_module(builder, key, concat,
+                      [&](NetworkBuilder& b, std::span<const Wire> all) {
+                        return cold(b, all.first(n0), all.subspan(n0), p);
+                      });
 }
 
 }  // namespace
@@ -132,28 +131,14 @@ std::vector<Wire> stamp_two_merger(NetworkBuilder& builder,
 std::vector<Wire> build_two_merger(NetworkBuilder& builder,
                                    std::span<const Wire> x0,
                                    std::span<const Wire> x1, std::size_t p) {
-  if (x0.empty()) return {x1.begin(), x1.end()};
-  if (x1.empty()) return {x0.begin(), x0.end()};
-  assert(p >= 1);
-  assert(x0.size() % p == 0 && x1.size() % p == 0);
-  if (module_cache_for(builder).enabled()) {
-    return stamp_two_merger(builder, x0, x1, p, /*capped=*/false);
-  }
-  return two_merger_cold(builder, x0, x1, p);
+  return stamp_two_merger(builder, x0, x1, p, /*capped=*/false);
 }
 
 std::vector<Wire> build_two_merger_capped(NetworkBuilder& builder,
                                           std::span<const Wire> x0,
                                           std::span<const Wire> x1,
                                           std::size_t p) {
-  if (x0.empty()) return {x1.begin(), x1.end()};
-  if (x1.empty()) return {x0.begin(), x0.end()};
-  assert(p >= 1);
-  assert(x0.size() % p == 0 && x1.size() % p == 0);
-  if (module_cache_for(builder).enabled()) {
-    return stamp_two_merger(builder, x0, x1, p, /*capped=*/true);
-  }
-  return two_merger_capped_cold(builder, x0, x1, p);
+  return stamp_two_merger(builder, x0, x1, p, /*capped=*/true);
 }
 
 Network make_two_merger_network(std::size_t p, std::size_t q0, std::size_t q1,

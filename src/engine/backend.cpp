@@ -12,15 +12,18 @@ namespace scn::engine {
 namespace {
 
 // The pool repays handing out blocks only with enough lanes to hand out and
-// enough work in them, and only with a second thread to take some.
+// enough work in them, and only with a second thread to take some. Work is
+// counted in compare-exchanges (CEs): a width-2 gate is one, a wide gate
+// the Batcher expansion the walk runs for it.
 constexpr std::size_t kThreadedMinLanes = 256;
-constexpr std::size_t kThreadedMinWork = std::size_t{1} << 18;  // lanes x gates
+constexpr std::size_t kThreadedMinWork = std::size_t{1} << 18;  // lanes x CEs
 
 bool pooled(const ExecutionPlan& plan, std::size_t lanes,
             std::size_t threads) {
+  const std::size_t ces =
+      plan.pair_wires().size() / 2 + plan.ce_wires().size() / 2;
   return threads > 1 && lanes >= kThreadedMinLanes &&
-         lanes * std::max<std::size_t>(plan.gate_count(), 1) >=
-             kThreadedMinWork;
+         lanes * std::max<std::size_t>(ces, 1) >= kThreadedMinWork;
 }
 
 // Builds the span args only when a trace is actually recording — dispatch

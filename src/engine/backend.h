@@ -4,7 +4,9 @@
 // lane dimension to split, so sorted_output and sort_ascending walk it as
 // one lane on the caller. sort_batch decides by itself whether its lanes
 // go to the runtime's pool: only for at least 256 lanes, at least 2^18
-// lanes x gates, and a runtime of more than one thread (Runtime::threads()).
+// lanes x compare-exchanges (a width-2 gate is one; a wide gate counts the
+// Batcher expansion the walk runs for it), and a runtime of more than one
+// thread (Runtime::threads()).
 // Otherwise the walk runs serially on the caller, and the pool is not
 // spawned. Each call bumps one `engine.backend.<name>.dispatches` counter
 // (`threaded` for a pooled batch, `batch` for a serial one, `scalar` for

@@ -8,8 +8,8 @@
 
 namespace scn {
 
-NetworkBuilder::NetworkBuilder(std::size_t width, ModuleCache* module_cache)
-    : wire_layer_(width, 0), module_cache_(module_cache) {}
+NetworkBuilder::NetworkBuilder(std::size_t width, ModuleCache* cache)
+    : wire_layer_(width, 0), module_cache_(cache) {}
 
 bool builder_checks_enabled() {
 #ifdef SCNET_CHECKED

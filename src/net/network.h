@@ -47,15 +47,14 @@ class Network;
 /// wire vectors.
 class NetworkBuilder {
  public:
-  /// `module_cache` attaches the interning context the src/core
-  /// constructors consult while composing through this builder (they fall
-  /// back to the process-wide cache when none is attached — see
-  /// module_cache_for() in core/module.h). The builder itself never
-  /// dereferences it; it only carries the handle down the recursive
-  /// construction, which is what lets a Runtime's cache reach every
-  /// sub-module build without threading an argument through each one.
-  explicit NetworkBuilder(std::size_t width,
-                          ModuleCache* module_cache = nullptr);
+  /// `cache` attaches the interning context the src/core constructors
+  /// consult while composing through this builder (they fall back to the
+  /// process-wide cache when none is attached — see stamp_module() in
+  /// core/module.h). The builder itself never dereferences it; it only
+  /// carries the handle down the recursive construction, which is what
+  /// lets a Runtime's cache reach every sub-module build without threading
+  /// an argument through each one.
+  explicit NetworkBuilder(std::size_t width, ModuleCache* cache = nullptr);
 
   /// Appends a gate across `wires` (logical order = listed order).
   /// Width-0 and width-1 gates are silently dropped: they are identity.

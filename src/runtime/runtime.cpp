@@ -45,11 +45,9 @@ Runtime::Runtime(const Options& options) : impl_(std::make_unique<Impl>()) {
   impl_->registry = impl_->owned_registry.get();
   impl_->owned_modules =
       std::make_unique<ModuleCache>("module_cache", *impl_->registry);
-  impl_->owned_modules->set_enabled(
-      options.module_cache.value_or(ModuleCache::default_enabled()));
   impl_->modules = impl_->owned_modules.get();
   impl_->owned_plans = std::make_unique<PlanCache>(
-      options.plan_cache_capacity, "plan_cache", *impl_->registry);
+      /*capacity=*/64, "plan_cache", *impl_->registry);
   impl_->plans = impl_->owned_plans.get();
 }
 

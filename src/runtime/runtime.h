@@ -33,7 +33,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <optional>
 
 #include "opt/plan_cache.h"
 
@@ -48,26 +47,20 @@ class MetricsRegistry;
 
 class Runtime {
  public:
-  /// Construction-time configuration. Every field has an "inherit the
-  /// environment" default, so `Runtime{}` behaves like a fresh copy of the
-  /// process defaults: SCNET_MODULE_CACHE is read ONCE here, and
-  /// SCNET_THREADS once on the first threads() or pool() call; neither is
-  /// read per call.
+  /// Construction-time configuration. `Runtime{}` behaves like a fresh
+  /// copy of the process defaults: SCNET_THREADS is read once, on the
+  /// first threads() or pool() call, never per call.
   struct Options {
     /// Threads a pool() call runs on, counting the caller: pool() spawns
     /// threads - 1 workers. 0 defers to SCNET_THREADS, then
     /// hardware_concurrency (see default_thread_count()).
     std::size_t threads = 0;
-    /// LRU capacity of this runtime's PlanCache.
-    std::size_t plan_cache_capacity = 64;
-    /// Whether the module cache interns templates (false => the imperative
-    /// construction path). nullopt => SCNET_MODULE_CACHE != "0".
-    std::optional<bool> module_cache;
   };
 
-  /// A fully private runtime: fresh caches, a fresh metrics registry the
-  /// caches publish into (under the usual `module_cache.*` / `plan_cache.*`
-  /// names), and a lazily spawned private pool.
+  /// A fully private runtime: fresh caches (a 64-plan LRU plan cache), a
+  /// fresh metrics registry the caches publish into (under the usual
+  /// `module_cache.*` / `plan_cache.*` names), and a lazily spawned
+  /// private pool.
   Runtime();
   explicit Runtime(const Options& options);
   ~Runtime();

@@ -1,7 +1,6 @@
 #include "verify/parallel_verify.h"
 
 #include <atomic>
-#include <memory>
 #include <mutex>
 
 #include "engine/batch_engine.h"
@@ -13,11 +12,11 @@
 namespace scn {
 
 CountingVerdict verify_counting_parallel(const Network& net,
-                                         ParallelVerifyOptions opts,
+                                         const CountingVerifyOptions& opts,
                                          Runtime& rt) {
   const std::size_t w = net.width();
-  const Count max_total = opts.base.max_total > 0
-                              ? opts.base.max_total
+  const Count max_total = opts.max_total > 0
+                              ? opts.max_total
                               : static_cast<Count>(3 * w + 7);
   // Count propagation goes through the runtime's plan cache, so repeated
   // verifications of one network lower it once and every input vector
@@ -35,13 +34,13 @@ CountingVerdict verify_counting_parallel(const Network& net,
     // draws (seed derived from the total so shards are independent of how
     // totals land on pool threads).
     std::vector<std::vector<Count>> inputs;
-    if (opts.base.structured) {
+    if (opts.structured) {
       inputs = structured_count_vectors(w, total);
     }
-    std::mt19937_64 rng(opts.base.seed ^
+    std::mt19937_64 rng(opts.seed ^
                         (0x9E3779B97F4A7C15ull *
                          static_cast<std::uint64_t>(total + 1)));
-    for (std::size_t t = 0; t < opts.base.random_per_total; ++t) {
+    for (std::size_t t = 0; t < opts.random_per_total; ++t) {
       inputs.push_back(random_count_vector(rng, w, total));
     }
     std::uint64_t local_checked = 0;
@@ -69,15 +68,7 @@ CountingVerdict verify_counting_parallel(const Network& net,
   };
 
   const auto totals = static_cast<std::size_t>(max_total) + 1;
-  // opts.threads == 0 reuses the runtime's pool; an explicit thread count
-  // gets a dedicated pool of exactly that size (test hooks, latency
-  // experiments).
-  if (opts.threads == 0) {
-    rt.pool().parallel_for(totals, 1, shard);
-  } else {
-    ThreadPool pool(opts.threads);
-    pool.parallel_for(totals, 1, shard);
-  }
+  rt.pool().parallel_for(totals, 1, shard);
 
   verdict.inputs_checked = checked.load();
   return verdict;

@@ -16,18 +16,13 @@
 
 namespace scn {
 
-struct ParallelVerifyOptions {
-  CountingVerifyOptions base;
-  std::size_t threads = 0;  ///< 0 => the runtime's pool; else a dedicated pool
-};
-
 /// Parallel equivalent of verify_counting: same input population (the
 /// structured vectors plus `random_per_total` seeded draws per total),
 /// sharded by total across threads. If any shard finds a violation, one
 /// witness is reported (the one with the smallest total). Compilation and
-/// (when opts.threads == 0) sharding go through `rt`'s plan cache and pool.
+/// sharding go through `rt`'s plan cache and pool.
 [[nodiscard]] CountingVerdict verify_counting_parallel(
-    const Network& net, ParallelVerifyOptions opts = {},
+    const Network& net, const CountingVerifyOptions& opts = {},
     Runtime& rt = Runtime::shared());
 
 }  // namespace scn

@@ -1,5 +1,6 @@
 // The engine's entry points: which calls engine::sort_batch hands to the
-// runtime's pool (at least 256 lanes, at least 2^18 lanes x gates, and a
+// runtime's pool (at least 256 lanes, at least 2^18 lanes x compare-
+// exchanges, and a
 // runtime of more than one thread), read back from the dispatch counters,
 // and the one-vector entries against the per-gate interpreter.
 // Bit-identity of the serial and pooled walks over many lanes is pinned by
@@ -90,7 +91,9 @@ TEST(DispatchPolicy, ThreadedNeedsLanesWorkAndThreads) {
   if (!obs::compiled_in()) GTEST_SKIP() << "engine metrics compiled out";
   const Network net = make_l_network({2, 2, 2, 2, 2});
   const ExecutionPlan plan = compile_plan(net);
-  // 4096 lanes x L(2^5)'s gates clears the work floor.
+  // 4096 lanes x L(2^5)'s compare-exchanges (one per width-2 gate) clear
+  // the work floor.
+  ASSERT_TRUE(plan.wide_gates().empty());
   ASSERT_GE(4096 * plan.gate_count(), std::size_t{1} << 18);
   Runtime four(with_threads(4));
   ASSERT_EQ(four.threads(), 4u);
@@ -113,6 +116,28 @@ TEST(DispatchPolicy, ThreadedNeedsLanesWorkAndThreads) {
   expect_serial(net, plan, 4096, one, "4096 lanes, 1 thread");
 }
 
+TEST(DispatchPolicy, WideGatesCountTheirCompareExchanges) {
+  // K(4x4) compiles to one 16-wide gate, which the walk runs as 63
+  // compare-exchanges: 8192 lanes of it clear the work floor although
+  // 8192 lanes x 1 gate would not.
+  if (!obs::compiled_in()) GTEST_SKIP() << "engine metrics compiled out";
+  const Network net = make_k_network({4, 4});
+  const ExecutionPlan plan = compile_plan(net);
+  ASSERT_EQ(plan.gate_count(), 1u);
+  ASSERT_EQ(plan.pair_wires().size() / 2 + plan.ce_wires().size() / 2, 63u);
+  Runtime four(with_threads(4));
+  const auto inputs = random_inputs(net.width(), 8192, 9);
+  std::vector<std::vector<Count>> got;
+  const Recorded r =
+      recorded([&] { got = engine::sort_batch(plan, inputs, four); });
+  EXPECT_EQ(r.threaded, 1u);
+  EXPECT_EQ(r.batch, 0u);
+  EXPECT_EQ(r.pooled_walks, 1u);
+  for (std::size_t j = 0; j < inputs.size(); j += 331) {
+    ASSERT_EQ(got[j], comparator_output_counts(net, inputs[j])) << j;
+  }
+}
+
 TEST(DispatchPolicy, PairOnlyPlansTakeTheBatchTierBelowTheThreadedFloor) {
   // Width-2-only plans get no tier of their own: below the lane floor, or
   // below the work floor, they run serially on the caller.
@@ -125,7 +150,8 @@ TEST(DispatchPolicy, PairOnlyPlansTakeTheBatchTierBelowTheThreadedFloor) {
     expect_serial(bitonic, plan, lanes, four,
                   std::to_string(lanes) + " lanes");
   }
-  // 256 lanes x bitonic(3)'s 24 gates is far below the work floor.
+  // 256 lanes x bitonic(3)'s 24 compare-exchanges is far below the work
+  // floor.
   const Network small = make_bitonic_network(3);
   const ExecutionPlan small_plan = compile_plan(small);
   ASSERT_LT(256 * small_plan.gate_count(), std::size_t{1} << 18);

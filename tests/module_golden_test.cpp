@@ -2,8 +2,10 @@
 // the pre-Module-IR (purely recursive) builders. The Module IR must be
 // *gate-for-gate* identical — same gates, same order, same layers, same
 // output permutation — so the FNV-1a hash of serialize_network() is pinned
-// exactly, and checked both with interning enabled (stamped path) and
-// disabled (imperative path).
+// exactly. Each spec is checked twice: through the shared cache, whose
+// templates earlier specs may already have interned (stamped path), and on
+// a fresh Runtime, where the imperative `_cold` bodies build every template
+// the spec needs on identity wires (imperative path).
 //
 // Spec grammar (shared with the generator that produced the table):
 //   K <f0xf1x...>                      make_k_network
@@ -33,6 +35,7 @@
 #include "core/staircase_merger.h"
 #include "core/two_merger.h"
 #include "net/serialize.h"
+#include "runtime/runtime.h"
 
 namespace scn {
 namespace {
@@ -65,7 +68,7 @@ BaseFactory parse_base(const std::string& b) {
   return b == "r" ? r_network_base() : single_balancer_base();
 }
 
-Network build_spec(const std::string& spec) {
+Network build_spec(const std::string& spec, Runtime& rt = Runtime::shared()) {
   std::stringstream ss(spec);
   std::string kind;
   ss >> kind;
@@ -73,22 +76,23 @@ Network build_spec(const std::string& spec) {
     std::string f;
     ss >> f;
     const auto factors = parse_factors(f);
-    return kind == "K" ? make_k_network(factors) : make_l_network(factors);
+    return kind == "K" ? make_k_network(factors, rt)
+                       : make_l_network(factors, rt);
   }
   if (kind == "R") {
     std::size_t p = 0, q = 0;
     ss >> p >> q;
-    return make_r_network(p, q);
+    return make_r_network(p, q, rt);
   }
   if (kind == "T" || kind == "Tc") {
     std::size_t p = 0, q0 = 0, q1 = 0;
     ss >> p >> q0 >> q1;
-    return make_two_merger_network(p, q0, q1, kind == "Tc");
+    return make_two_merger_network(p, q0, q1, kind == "Tc", rt);
   }
   if (kind == "D") {
     std::size_t p = 0, q = 0;
     ss >> p >> q;
-    return make_bitonic_converter_network(p, q);
+    return make_bitonic_converter_network(p, q, rt);
   }
   std::string base, variant;
   ss >> base >> variant;
@@ -96,17 +100,17 @@ Network build_spec(const std::string& spec) {
     std::size_t r = 0, p = 0, q = 0;
     ss >> r >> p >> q;
     return make_staircase_merger_network(r, p, q, parse_base(base),
-                                         parse_variant(variant));
+                                         parse_variant(variant), rt);
   }
   std::string f;
   ss >> f;
   const auto factors = parse_factors(f);
   if (kind == "M") {
     return make_merger_network(factors, parse_base(base),
-                               parse_variant(variant));
+                               parse_variant(variant), rt);
   }
   return make_counting_network(factors, parse_base(base),
-                               parse_variant(variant));
+                               parse_variant(variant), rt);
 }
 
 struct Golden {
@@ -183,7 +187,6 @@ constexpr Golden kGoldens[] = {
 class ModuleGolden : public ::testing::TestWithParam<Golden> {};
 
 TEST_P(ModuleGolden, StampedBuildMatchesPreIRSerialization) {
-  ScopedModuleCacheToggle on(true);
   const Network net = build_spec(GetParam().spec);
   EXPECT_TRUE(net.validate().empty()) << net.validate();
   EXPECT_EQ(fnv1a(serialize_network(net)), GetParam().hash)
@@ -191,8 +194,8 @@ TEST_P(ModuleGolden, StampedBuildMatchesPreIRSerialization) {
 }
 
 TEST_P(ModuleGolden, ImperativeBuildMatchesPreIRSerialization) {
-  ScopedModuleCacheToggle off(false);
-  const Network net = build_spec(GetParam().spec);
+  Runtime fresh;
+  const Network net = build_spec(GetParam().spec, fresh);
   EXPECT_TRUE(net.validate().empty()) << net.validate();
   EXPECT_EQ(fnv1a(serialize_network(net)), GetParam().hash)
       << "spec: " << GetParam().spec;
@@ -201,7 +204,6 @@ TEST_P(ModuleGolden, ImperativeBuildMatchesPreIRSerialization) {
 TEST_P(ModuleGolden, RepeatedStampedBuildsAreIdentical) {
   // Second build of the same spec rides pure cache hits; it must serialize
   // byte-for-byte like the first (no hidden state in the stamp path).
-  ScopedModuleCacheToggle on(true);
   const std::string a = serialize_network(build_spec(GetParam().spec));
   const std::string b = serialize_network(build_spec(GetParam().spec));
   EXPECT_EQ(a, b) << "spec: " << GetParam().spec;

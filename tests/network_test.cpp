@@ -2,10 +2,11 @@
 // the logical output order machinery.
 #include <gtest/gtest.h>
 
+#include "core/cost_model.h"
 #include "core/l_network.h"
-#include "core/module.h"
 #include "net/linked_network.h"
 #include "net/network.h"
+#include "runtime/runtime.h"
 
 namespace scn {
 namespace {
@@ -91,23 +92,16 @@ TEST(Network, GateWidthHistogramSumsMatchStructure) {
 }
 
 TEST(Network, InternedStampingPreservesHistogramAndEndpoints) {
-  // The module cache changes how networks are built (stamped templates vs
-  // recursive appends), which must not move any structural statistic.
-  Network stamped, cold;
-  {
-    ScopedModuleCacheToggle on(true);
-    (void)make_l_network({4, 3, 5});  // warm the cache
-    stamped = make_l_network({4, 3, 5});
+  // Stamped templates must add up to the gates and endpoints the §4
+  // recurrences count, on a cold build (a fresh runtime) and on a warm one.
+  const std::vector<std::size_t> factors = {4, 3, 5};
+  const NetworkCost cost = l_cost(factors);
+  Runtime rt;
+  for (int build = 0; build < 2; ++build) {
+    const Network net = make_l_network(factors, rt);
+    EXPECT_EQ(net.gate_count(), cost.gates) << "build " << build;
+    EXPECT_EQ(net.wire_endpoint_count(), cost.endpoints) << "build " << build;
   }
-  {
-    ScopedModuleCacheToggle off(false);
-    cold = make_l_network({4, 3, 5});
-  }
-  EXPECT_EQ(stamped.gate_width_histogram(), cold.gate_width_histogram());
-  EXPECT_EQ(stamped.wire_endpoint_count(), cold.wire_endpoint_count());
-  EXPECT_EQ(stamped.gate_count(), cold.gate_count());
-  EXPECT_EQ(stamped.depth(), cold.depth());
-  EXPECT_EQ(stamped.max_gate_width(), cold.max_gate_width());
 }
 
 TEST(Network, OutputOrderRoundTrip) {

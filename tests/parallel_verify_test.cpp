@@ -5,6 +5,7 @@
 #include "baseline/bubble.h"
 #include "core/k_network.h"
 #include "core/l_network.h"
+#include "runtime/runtime.h"
 #include "sim/count_sim.h"
 #include "verify/parallel_verify.h"
 
@@ -33,10 +34,9 @@ TEST(ParallelVerify, VerdictIndependentOfThreadCount) {
   const Network good = make_l_network({2, 3, 2});
   const Network bad = make_bubble_network(4);
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    ParallelVerifyOptions opts;
-    opts.threads = threads;
-    EXPECT_TRUE(verify_counting_parallel(good, opts).ok) << threads;
-    EXPECT_FALSE(verify_counting_parallel(bad, opts).ok) << threads;
+    Runtime rt(Runtime::Options{.threads = threads});
+    EXPECT_TRUE(verify_counting_parallel(good, {}, rt).ok) << threads;
+    EXPECT_FALSE(verify_counting_parallel(bad, {}, rt).ok) << threads;
   }
 }
 
@@ -44,9 +44,9 @@ TEST(ParallelVerify, MatchesSequentialOnPopulationSize) {
   // Structured count is deterministic: (#structured + random_per_total)
   // per total when the network is correct.
   const Network net = make_k_network({2, 2});
-  ParallelVerifyOptions opts;
-  opts.base.max_total = 10;
-  opts.base.random_per_total = 3;
+  CountingVerifyOptions opts;
+  opts.max_total = 10;
+  opts.random_per_total = 3;
   const CountingVerdict v = verify_counting_parallel(net, opts);
   EXPECT_TRUE(v.ok);
   // 11 totals x (7 structured + 3 random) = 110.
@@ -54,13 +54,13 @@ TEST(ParallelVerify, MatchesSequentialOnPopulationSize) {
 }
 
 TEST(ParallelVerify, SingleThreadEqualsSequentialVerdicts) {
-  ParallelVerifyOptions opts;
-  opts.threads = 1;
-  opts.base.max_total = 25;
+  Runtime one(Runtime::Options{.threads = 1});
+  CountingVerifyOptions opts;
+  opts.max_total = 25;
   for (const auto& factors : {std::vector<std::size_t>{2, 2}, {3, 2}}) {
     const Network net = make_k_network(factors);
-    EXPECT_EQ(verify_counting_parallel(net, opts).ok,
-              verify_counting(net, opts.base).ok);
+    EXPECT_EQ(verify_counting_parallel(net, opts, one).ok,
+              verify_counting(net, opts).ok);
   }
 }
 

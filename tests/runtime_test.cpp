@@ -32,14 +32,6 @@ std::uint64_t metric(Runtime& rt, std::string_view name) {
   return rt.metrics().value(name);
 }
 
-/// Interning on regardless of SCNET_MODULE_CACHE, for the tests that
-/// count module-cache misses.
-Runtime::Options interning() {
-  Runtime::Options o;
-  o.module_cache = true;
-  return o;
-}
-
 TEST(Runtime, SharedFrontsTheProcessWideSingletons) {
   Runtime& rt = Runtime::shared();
   EXPECT_TRUE(rt.is_shared());
@@ -51,8 +43,8 @@ TEST(Runtime, SharedFrontsTheProcessWideSingletons) {
 }
 
 TEST(Runtime, PrivateRuntimesShareNoCacheOrMetricState) {
-  Runtime rt1(interning());
-  Runtime rt2(interning());
+  Runtime rt1;
+  Runtime rt2;
   EXPECT_FALSE(rt1.is_shared());
   EXPECT_NE(&rt1.module_cache(), &rt2.module_cache());
   EXPECT_NE(&rt1.plan_cache(), &rt2.plan_cache());
@@ -96,25 +88,11 @@ TEST(Runtime, PrivateBuildsDoNotPolluteTheSharedRegistry) {
   EXPECT_EQ(after.plan_entries, before.plan_entries);
 }
 
-TEST(Runtime, OptionsSizeThePoolAndGateTheModuleCache) {
+TEST(Runtime, OptionsSizeThePool) {
   Runtime::Options options;
   options.threads = 2;
-  options.module_cache = false;
   Runtime rt(options);
   EXPECT_EQ(rt.pool().size(), 2u);
-  EXPECT_FALSE(rt.module_cache().enabled());
-
-  // With the cache disabled the imperative path builds the identical
-  // network — and interns nothing.
-  const Network net = make_l_network({2, 3, 4}, rt);
-  EXPECT_EQ(rt.module_cache().stats().entries, 0u);
-  EXPECT_EQ(rt.module_cache().stats().misses, 0u);
-  Runtime::Options cached_options;
-  cached_options.module_cache = true;
-  Runtime cached(cached_options);
-  EXPECT_EQ(structural_hash(net),
-            structural_hash(make_l_network({2, 3, 4}, cached)));
-  EXPECT_GT(cached.module_cache().stats().entries, 0u);
 }
 
 TEST(Runtime, CompiledCachesThePlanAsConstructed) {
@@ -163,7 +141,7 @@ TEST(ThreadPoolDefaults, AbsurdThreadCountsAreClamped) {
 }
 
 TEST(Runtime, ClearCachesResetsRegistryCountersWithThePurge) {
-  Runtime rt(interning());
+  Runtime rt;
   const Network net = make_k_network({2, 3, 4}, rt);
   (void)rt.compiled(net);
   (void)rt.compiled(net);  // plan-cache hit
@@ -182,7 +160,7 @@ TEST(Runtime, ClearCachesResetsRegistryCountersWithThePurge) {
 }
 
 TEST(Runtime, ApiOverloadsAreRuntimeScoped) {
-  Runtime rt(interning());
+  Runtime rt;
   const Network net = make_k_network({2, 2, 3}, rt);
   (void)rt.compiled(net);
   const CacheStatsReport stats = cache_stats(rt);
