@@ -6,6 +6,8 @@
 //   scnet_cli build bitonic 16 | batcher 24 | bubble 5 | periodic 8
 //   scnet_cli info < net.scnet         summary + depth/width stats
 //   scnet_cli verify < net.scnet       counting + sorting verification
+//                                      (0-1 exhaustive up to width 32,
+//                                      sampled beyond)
 //   scnet_cli dot < net.scnet          Graphviz
 //   scnet_cli export --dot [--overlay={none|contention}]
 //                      [--tokens N] [--title T] < net.scnet
@@ -75,11 +77,16 @@
 #include "sim/schedule.h"
 #include "verify/checkers.h"
 #include "verify/counting_verify.h"
+#include "verify/fast_zero_one.h"
 #include "verify/sorting_verify.h"
 
 namespace {
 
 using namespace scn;
+
+// `verify` proves sorting over all 2^w 0-1 inputs up to this width (seconds
+// at 32 on a few cores) and samples beyond it.
+constexpr std::size_t kExhaustiveSortWidth = 32;
 
 int usage() {
   std::fprintf(stderr,
@@ -557,8 +564,8 @@ int dispatch(Runtime& rt, int argc, char** argv) {
                   format_sequence(cv.bad_output).c_str());
     }
     std::printf("\n");
-    if (net.width() <= 22) {
-      const SortingVerdict sv = verify_sorting_exhaustive(net);
+    if (net.width() <= kExhaustiveSortWidth) {
+      const SortingVerdict sv = fast_verify_sorting_exhaustive(net, rt);
       std::printf("sorting (0-1 exhaustive): %s\n", sv.ok ? "PASS" : "FAIL");
       return (cv.ok && sv.ok) ? 0 : 1;
     }

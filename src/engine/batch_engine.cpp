@@ -26,7 +26,6 @@ namespace {
 // block is 64 lanes at stride 64: 16 KB of Count at width 32, or 8 KB of
 // int32_t, so its pack, every layer and its unpack all run in L1.
 constexpr std::size_t kBatchBlock = 256;
-constexpr std::size_t kPackBlock = 64;
 
 // A vector shorter or longer than the plan would be walked past its end, so
 // every entry checks lengths in all builds: once per call for one vector,
@@ -124,6 +123,7 @@ template <Semantics S, std::size_t kBlock, typename T>
 // many blocks it took.
 class LayerTimes {
  public:
+  LayerTimes() = default;  // records nothing
   explicit LayerTimes(const ExecutionPlan& plan) {
     if constexpr (obs::compiled_in()) {
       if (obs::Tracer::shared().active()) {
@@ -429,6 +429,16 @@ std::vector<std::vector<Count>> plan_count_batch(
   SCNET_HISTOGRAM_RECORD("engine.batch.lanes", inputs.size());
   SCNET_TRACE_SPAN("engine", "plan_count_batch");
   return run_packed<Semantics::kBalancer>(plan, inputs, pool);
+}
+
+void run_plan_bit_planes(const ExecutionPlan& plan,
+                         std::span<engine::BitPlane> rows) {
+  check_length("run_plan_bit_planes", plan,
+               rows.size() % kPackBlock == 0 ? rows.size() / kPackBlock : 0);
+  LayerTimes untimed;
+  run_lanes<Semantics::kComparator, kPackBlock>(
+      plan, Rows<engine::BitPlane>{rows.data(), kPackBlock}, 0, kPackBlock,
+      untimed);
 }
 
 }  // namespace scn

@@ -23,7 +23,9 @@
 //     uses 512-bit vectors. Given a ThreadPool, its threads (the caller
 //     among them) take blocks from one shared counter until none are
 //     left, while the caller allocates the outputs in block order; a block
-//     is unpacked once its outputs exist.
+//     is unpacked once its outputs exist;
+//   * run_plan_bit_planes walks one block of 0-1 bit planes (a word per
+//     lane, a test vector per bit) for the exhaustive 0-1 verifier.
 // No synchronization is needed between layers or blocks, and a lane's
 // result cannot depend on which thread ran it — determinism is structural.
 //
@@ -44,10 +46,14 @@
 
 #include "engine/batch.h"
 #include "engine/execution_plan.h"
+#include "engine/kernels.h"
 #include "perf/thread_pool.h"
 #include "seq/sequence_props.h"
 
 namespace scn {
+
+/// Lanes in one packed block, the row stride of run_plan_bit_planes too.
+inline constexpr std::size_t kPackBlock = 64;
 
 // ---------------------------------------------------------------------------
 // One vector.
@@ -98,5 +104,12 @@ void run_plan_batch(const ExecutionPlan& plan, engine::Batch<Count>& batch,
 [[nodiscard]] std::vector<std::vector<Count>> plan_count_batch(
     const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
     ThreadPool* pool = nullptr);
+
+/// Runs the plan as a comparator network, in place, over plan.width() rows
+/// of kPackBlock bit planes (wire w's row at rows[w * kPackBlock]): 4,096
+/// 0-1 vectors. Records no metric or trace event: the exhaustive 0-1
+/// verifier (verify/fast_zero_one.h) calls it 2^20 times at width 32.
+void run_plan_bit_planes(const ExecutionPlan& plan,
+                         std::span<engine::BitPlane> rows);
 
 }  // namespace scn

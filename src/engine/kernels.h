@@ -14,6 +14,8 @@
 // run in the walk itself as sum-then-redistribute over the lanes.
 #pragma once
 
+#include <cstdint>
+
 #include "seq/sequence_props.h"
 
 namespace scn::engine {
@@ -26,6 +28,18 @@ inline void pair_sort_kernel(T& hi, T& lo) {
   const T b = lo;
   hi = a > b ? a : b;
   lo = a > b ? b : a;
+}
+
+/// One wire in 64 0-1 test vectors: bit t is its value in vector t.
+struct BitPlane {
+  std::uint64_t bits;
+};
+
+/// Width-2 comparator on 64 0-1 vectors: max is OR, min is AND.
+inline void pair_sort_kernel(BitPlane& hi, BitPlane& lo) {
+  const std::uint64_t a = hi.bits;
+  hi.bits |= lo.bits;
+  lo.bits &= a;
 }
 
 /// Width-2 balancer on quiescent counts: hi gets ceil(total/2), lo gets

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 namespace scn {
 
@@ -15,6 +17,32 @@ std::size_t heat_bucket(std::uint64_t visits, std::uint64_t max_visits) {
   const std::size_t bucket =
       1 + static_cast<std::size_t>((visits * 8) / max_visits);
   return std::min<std::size_t>(bucket, 9);
+}
+
+// Gate gi's smallest and largest wire: a diagram draws it across the span.
+std::pair<Wire, Wire> wire_span(const Network& net, std::size_t gi) {
+  const auto ws = net.gate_wires(net.gates()[gi]);
+  const auto [mn, mx] = std::minmax_element(ws.begin(), ws.end());
+  return {*mn, *mx};
+}
+
+// A layer's gates packed greedily into diagram columns: each gate joins the
+// first column holding no gate whose wire span overlaps its own.
+std::vector<std::vector<std::size_t>> pack_columns(
+    const Network& net, const std::vector<std::size_t>& layer) {
+  std::vector<std::vector<std::size_t>> columns;
+  for (const std::size_t gi : layer) {
+    const auto [mn, mx] = wire_span(net, gi);
+    const auto fits = [&](const std::vector<std::size_t>& col) {
+      return std::none_of(col.begin(), col.end(), [&](std::size_t other) {
+        const auto [omn, omx] = wire_span(net, other);
+        return !(mx < omn || omx < mn);
+      });
+    };
+    const auto col = std::find_if(columns.begin(), columns.end(), fits);
+    (col == columns.end() ? columns.emplace_back() : *col).push_back(gi);
+  }
+  return columns;
 }
 
 }  // namespace
@@ -118,8 +146,8 @@ std::string to_dot(const Network& net, const std::string& title) {
 }
 
 std::string to_ascii(const Network& net) {
-  // Within a layer, gates whose wire spans overlap (a gate "crosses" wires
-  // between its min and max wire) must occupy distinct columns.
+  // Within a layer, gates whose wire spans overlap occupy distinct columns
+  // (pack_columns).
   const auto layer_groups = net.layers();
   std::vector<std::string> rows(net.width());
   auto pad_all = [&](char fill) {
@@ -133,42 +161,17 @@ std::string to_ascii(const Network& net) {
   };
   for (auto& r : rows) r = "--";
   for (const auto& layer : layer_groups) {
-    // Greedy column packing inside the layer.
-    std::vector<std::vector<std::size_t>> columns;
-    for (const std::size_t gi : layer) {
-      const auto ws = net.gate_wires(net.gates()[gi]);
-      const auto [mn_it, mx_it] = std::minmax_element(ws.begin(), ws.end());
-      const Wire mn = *mn_it, mx = *mx_it;
-      bool placed = false;
-      for (auto& col : columns) {
-        bool clash = false;
-        for (const std::size_t other : col) {
-          const auto ows = net.gate_wires(net.gates()[other]);
-          const auto [omn_it, omx_it] =
-              std::minmax_element(ows.begin(), ows.end());
-          if (!(mx < *omn_it || *omx_it < mn)) {
-            clash = true;
-            break;
-          }
-        }
-        if (!clash) {
-          col.push_back(gi);
-          placed = true;
-          break;
-        }
-      }
-      if (!placed) columns.push_back({gi});
-    }
-    for (const auto& col : columns) {
+    for (const auto& col : pack_columns(net, layer)) {
       const std::size_t at = rows[0].size();
       for (auto& r : rows) r.push_back('-');
       for (const std::size_t gi : col) {
-        const auto ws = net.gate_wires(net.gates()[gi]);
-        const auto [mn_it, mx_it] = std::minmax_element(ws.begin(), ws.end());
-        for (Wire w = *mn_it; w <= *mx_it; ++w) {
+        const auto [mn, mx] = wire_span(net, gi);
+        for (Wire w = mn; w <= mx; ++w) {
           rows[static_cast<std::size_t>(w)][at] = '|';
         }
-        for (const Wire w : ws) rows[static_cast<std::size_t>(w)][at] = '+';
+        for (const Wire w : net.gate_wires(net.gates()[gi])) {
+          rows[static_cast<std::size_t>(w)][at] = '+';
+        }
       }
       for (auto& r : rows) r.push_back('-');
       pad_all('-');
@@ -186,7 +189,7 @@ std::string to_ascii(const Network& net) {
 std::string to_svg(const Network& net, const std::string& title) {
   // Geometry: wires are horizontal lines spaced kWireGap apart; within a
   // layer, gates whose [min, max] wire spans overlap occupy distinct
-  // x-columns (same greedy packing as the ASCII view).
+  // x-columns (pack_columns, as in the ASCII view).
   constexpr int kWireGap = 22;
   constexpr int kColGap = 26;
   constexpr int kMargin = 40;
@@ -195,31 +198,8 @@ std::string to_svg(const Network& net, const std::string& title) {
   std::vector<std::vector<std::vector<std::size_t>>> columns_per_layer;
   std::size_t total_columns = 0;
   for (const auto& layer : layer_groups) {
-    std::vector<std::vector<std::size_t>> columns;
-    for (const std::size_t gi : layer) {
-      const auto ws = net.gate_wires(net.gates()[gi]);
-      const auto [mn_it, mx_it] = std::minmax_element(ws.begin(), ws.end());
-      bool placed = false;
-      for (auto& col : columns) {
-        bool clash = false;
-        for (const std::size_t other : col) {
-          const auto ows = net.gate_wires(net.gates()[other]);
-          const auto [omn, omx] = std::minmax_element(ows.begin(), ows.end());
-          if (!(*mx_it < *omn || *omx < *mn_it)) {
-            clash = true;
-            break;
-          }
-        }
-        if (!clash) {
-          col.push_back(gi);
-          placed = true;
-          break;
-        }
-      }
-      if (!placed) columns.push_back({gi});
-    }
-    total_columns += columns.size();
-    columns_per_layer.push_back(std::move(columns));
+    columns_per_layer.push_back(pack_columns(net, layer));
+    total_columns += columns_per_layer.back().size();
   }
 
   const int width_px =
@@ -251,12 +231,11 @@ std::string to_svg(const Network& net, const std::string& title) {
   for (const auto& columns : columns_per_layer) {
     for (const auto& col : columns) {
       for (const std::size_t gi : col) {
-        const auto ws = net.gate_wires(net.gates()[gi]);
-        const auto [mn_it, mx_it] = std::minmax_element(ws.begin(), ws.end());
-        os << "<line x1=\"" << x << "\" y1=\"" << wire_y(*mn_it)
-           << "\" x2=\"" << x << "\" y2=\"" << wire_y(*mx_it)
+        const auto [mn, mx] = wire_span(net, gi);
+        os << "<line x1=\"" << x << "\" y1=\"" << wire_y(mn) << "\" x2=\""
+           << x << "\" y2=\"" << wire_y(mx)
            << "\" stroke=\"#000\" stroke-width=\"2\"/>\n";
-        for (const Wire w : ws) {
+        for (const Wire w : net.gate_wires(net.gates()[gi])) {
           os << "<circle cx=\"" << x << "\" cy=\"" << wire_y(w)
              << "\" r=\"4\" fill=\"#000\"/>\n";
         }

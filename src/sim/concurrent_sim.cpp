@@ -123,9 +123,16 @@ std::vector<std::uint64_t> ConcurrentNetwork::gate_visits() const {
   return out;
 }
 
-ConcurrentRunResult run_concurrent(ConcurrentNetwork& net, std::size_t threads,
-                                   std::uint64_t tokens_per_thread,
-                                   std::uint64_t seed) {
+namespace {
+
+// Spawns `threads` threads that each route `tokens_per_thread` tokens, then
+// reports the quiescent outputs and the wall time of the parallel phase.
+// Thread t draws its entry wires from make_wires(width, t), a callable
+// built on that thread before the start flag drops, so it is not timed.
+template <typename MakeWires>
+ConcurrentRunResult run_threads(ConcurrentNetwork& net, std::size_t threads,
+                                std::uint64_t tokens_per_thread,
+                                const MakeWires& make_wires) {
   assert(threads >= 1);
   // Instrumented here, at the run boundary, rather than inside traverse():
   // a shared counter touched once per token from every thread would be
@@ -138,13 +145,12 @@ ConcurrentRunResult run_concurrent(ConcurrentNetwork& net, std::size_t threads,
   pool.reserve(threads);
   for (std::size_t t = 0; t < threads; ++t) {
     pool.emplace_back([&, t] {
-      std::mt19937_64 rng(seed + 0x9E3779B97F4A7C15ull * (t + 1));
-      std::uniform_int_distribution<std::uint32_t> wire(0, width - 1);
+      auto next_wire = make_wires(width, t);
       while (!go.load(std::memory_order_acquire)) {
         std::this_thread::yield();
       }
       for (std::uint64_t i = 0; i < tokens_per_thread; ++i) {
-        net.traverse(static_cast<Wire>(wire(rng)));
+        net.traverse(next_wire());
       }
     });
   }
@@ -160,37 +166,30 @@ ConcurrentRunResult run_concurrent(ConcurrentNetwork& net, std::size_t threads,
   return result;
 }
 
+}  // namespace
+
+ConcurrentRunResult run_concurrent(ConcurrentNetwork& net, std::size_t threads,
+                                   std::uint64_t tokens_per_thread,
+                                   std::uint64_t seed) {
+  const auto uniform = [&](std::uint32_t width, std::size_t t) {
+    return [rng = std::mt19937_64(seed + 0x9E3779B97F4A7C15ull * (t + 1)),
+            wire = std::uniform_int_distribution<std::uint32_t>(
+                0, width - 1)]() mutable {
+      return static_cast<Wire>(wire(rng));
+    };
+  };
+  return run_threads(net, threads, tokens_per_thread, uniform);
+}
+
 ConcurrentRunResult run_concurrent(ConcurrentNetwork& net, std::size_t threads,
                                    std::uint64_t tokens_per_thread,
                                    const ScheduleParams& schedule) {
-  assert(threads >= 1);
-  SCNET_COUNTER_ADD("sim.concurrent.tokens", tokens_per_thread * threads);
-  SCNET_TRACE_SPAN("sim", "run_concurrent");
-  const auto width = static_cast<std::uint32_t>(net.network().width());
-  std::atomic<bool> go{false};
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (std::size_t t = 0; t < threads; ++t) {
-    pool.emplace_back([&, t] {
-      WireSchedule wires(width, schedule, t);
-      while (!go.load(std::memory_order_acquire)) {
-        std::this_thread::yield();
-      }
-      for (std::uint64_t i = 0; i < tokens_per_thread; ++i) {
-        net.traverse(wires.next());
-      }
-    });
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  go.store(true, std::memory_order_release);
-  for (auto& th : pool) th.join();
-  const auto t1 = std::chrono::steady_clock::now();
-
-  ConcurrentRunResult result;
-  result.outputs = net.output_counts();
-  result.seconds = std::chrono::duration<double>(t1 - t0).count();
-  result.tokens = tokens_per_thread * threads;
-  return result;
+  const auto scheduled = [&](std::uint32_t width, std::size_t t) {
+    return [wires = WireSchedule(width, schedule, t)]() mutable {
+      return wires.next();
+    };
+  };
+  return run_threads(net, threads, tokens_per_thread, scheduled);
 }
 
 }  // namespace scn

@@ -1,125 +1,106 @@
 #include "verify/fast_zero_one.h"
 
-#include <array>
+#include <algorithm>
+#include <atomic>
 #include <bit>
-#include <cassert>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
+
+#include "engine/batch_engine.h"
 
 namespace scn {
 namespace {
 
 using Word = std::uint64_t;
 
-// Bit-sliced unsigned counter: planes[j] holds bit j of a per-position
-// count. Enough planes for counts up to 64 (gate width cap).
-struct SlicedCount {
-  std::array<Word, 7> planes{};
+// Test vector `index` sets physical wire i to bit i of the index. A block
+// holds 4,096 vectors: index bits 0-5 pick the bit within a word, bits
+// 6-11 the word (the lane) and the rest the block.
+constexpr unsigned kLaneShift = 6;
+constexpr unsigned kBlockShift = 12;
+static_assert(kPackBlock == std::size_t{1} << (kBlockShift - kLaneShift));
 
-  void add_one_bit(Word m) {
-    // Ripple-carry add of a 1-bit addend per position.
-    for (auto& plane : planes) {
-      const Word carry = plane & m;
-      plane ^= m;
-      m = carry;
-      if (m == 0) break;
+// Bit t of kLowBits[i] is bit i of t.
+constexpr Word kLowBits[kLaneShift] = {
+    0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
+    0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000};
+
+// Walks block b's vectors through the plan and returns the smallest index
+// among them whose output is not sorted descending, or `none`. Below width
+// 12 a block runs past 2^w, but each vector past it repeats the one at its
+// index mod 2^w, so the smallest failing index is always a real one.
+Word first_unsorted(const ExecutionPlan& plan, Word b,
+                    std::span<engine::BitPlane> rows, Word none) {
+  const Word lane_base = b << (kBlockShift - kLaneShift);
+  for (std::size_t i = 0; i < plan.width(); ++i) {
+    for (std::size_t j = 0; j < kPackBlock; ++j) {
+      // Bit i of the index, as all ones or all zeros beyond bit 5.
+      rows[i * kPackBlock + j].bits =
+          i < kLaneShift ? kLowBits[i]
+                         : 0 - (((lane_base | j) >> (i - kLaneShift)) & 1);
     }
   }
-
-  /// Mask of positions whose count >= k (k >= 1).
-  [[nodiscard]] Word at_least(unsigned k) const {
-    Word gt = 0;
-    Word eq = ~Word{0};
-    for (int j = static_cast<int>(planes.size()) - 1; j >= 0; --j) {
-      const Word vb = planes[static_cast<std::size_t>(j)];
-      const Word kb = (k >> j) & 1u ? ~Word{0} : Word{0};
-      gt |= eq & vb & ~kb;
-      eq &= ~(vb ^ kb);
-    }
-    return gt | eq;  // value > k or value == k
-  }
-};
-
-// Loads the 64-vector input chunk starting at global index `base` into
-// per-wire masks (bit t of masks[i] = wire i's value in vector base + t).
-void load_chunk(std::uint64_t base, std::span<const Word> pattern,
-                std::vector<Word>& masks) {
-  for (std::size_t i = 0; i < masks.size(); ++i) {
-    if (i < 6) {
-      masks[i] = pattern[i];
-    } else {
-      masks[i] = (base >> i) & 1u ? ~Word{0} : Word{0};
+  run_plan_bit_planes(plan, rows);
+  Word bad[kPackBlock] = {};
+  const std::vector<Wire>& order = plan.output_order();
+  for (std::size_t i = 0; i + 1 < order.size(); ++i) {
+    const auto* above = &rows[static_cast<std::size_t>(order[i]) * kPackBlock];
+    const auto* below =
+        &rows[static_cast<std::size_t>(order[i + 1]) * kPackBlock];
+    for (std::size_t j = 0; j < kPackBlock; ++j) {
+      bad[j] |= ~above[j].bits & below[j].bits;  // a 0 above a 1
     }
   }
-}
-
-std::array<Word, 6> low_bit_patterns() {
-  std::array<Word, 6> pattern{};
-  for (unsigned i = 0; i < 6; ++i) {
-    Word m = 0;
-    for (unsigned t = 0; t < 64; ++t) {
-      if ((t >> i) & 1u) m |= Word{1} << t;
+  for (std::size_t j = 0; j < kPackBlock; ++j) {
+    if (bad[j] != 0) {
+      return b << kBlockShift | j << kLaneShift |
+             static_cast<Word>(std::countr_zero(bad[j]));
     }
-    pattern[i] = m;
   }
-  return pattern;
+  return none;
 }
 
 }  // namespace
 
-SortingVerdict fast_verify_sorting_exhaustive(const Network& net) {
+SortingVerdict fast_verify_sorting_exhaustive(const Network& net,
+                                              Runtime& rt) {
   const std::size_t w = net.width();
-  assert(w <= 26 && "exhaustive 0-1 check limited to 2^26 inputs");
+  if (w >= 64) {
+    throw std::invalid_argument("fast_verify_sorting_exhaustive: width " +
+                                std::to_string(w) + " overflows the index");
+  }
+  const CachedPlan cached = rt.compiled(net);
+  const Word total = Word{1} << w;
+  const Word blocks = std::max<Word>(1, total >> kBlockShift);
+  // Threads claim blocks in index order and stop at one that starts past
+  // the smallest failing index found, so every block below the final
+  // minimum is checked whatever the pool: the verdict is deterministic.
+  std::atomic<Word> next{0};
+  std::atomic<Word> first_bad{total};
+  const auto worker = [&](std::size_t, std::size_t) {
+    // On cache lines, so that no vector load of a row straddles two.
+    alignas(64) engine::BitPlane rows_at_max_width[63 * kPackBlock] = {};
+    const std::span rows(rows_at_max_width, w * kPackBlock);
+    for (Word b = next++; b < blocks && b << kBlockShift < first_bad;
+         b = next++) {
+      const Word bad = first_unsorted(*cached.plan, b, rows, total);
+      Word seen = first_bad.load();
+      while (bad < seen && !first_bad.compare_exchange_weak(seen, bad)) {
+      }
+    }
+  };
+  rt.pool().parallel_for(
+      static_cast<std::size_t>(std::min<Word>(rt.threads(), blocks)), 1,
+      worker);
+
   SortingVerdict verdict;
-
-  // Low six input bits follow fixed patterns across a 64-vector chunk.
-  const std::array<Word, 6> pattern = low_bit_patterns();
-
-  const std::uint64_t total = std::uint64_t{1} << w;
-  const std::uint64_t chunks = (total + 63) / 64;
-  std::vector<Word> masks(w);
-  std::vector<Word> buf;
-  for (std::uint64_t chunk = 0; chunk < chunks; ++chunk) {
-    const std::uint64_t base = chunk * 64;
-    const std::uint64_t valid =
-        total - base >= 64 ? ~Word{0}
-                           : (Word{1} << (total - base)) - 1;
-    load_chunk(base, pattern, masks);
-    // Evaluate gates.
-    for (const Gate& g : net.gates()) {
-      const auto ws = net.gate_wires(g);
-      SlicedCount count;
-      for (const Wire wire : ws) {
-        count.add_one_bit(masks[static_cast<std::size_t>(wire)]);
-      }
-      for (std::size_t i = 0; i < ws.size(); ++i) {
-        masks[static_cast<std::size_t>(ws[i])] =
-            count.at_least(static_cast<unsigned>(i) + 1);
-      }
-    }
-    // Check sortedness in logical output order.
-    buf.clear();
-    for (const Wire wire : net.output_order()) {
-      buf.push_back(masks[static_cast<std::size_t>(wire)]);
-    }
-    Word violation = 0;
-    for (std::size_t i = 0; i + 1 < buf.size(); ++i) {
-      violation |= ~buf[i] & buf[i + 1];  // a 0 above a 1
-    }
-    violation &= valid;
-    verdict.inputs_checked +=
-        static_cast<std::uint64_t>(std::popcount(valid));
-    if (violation != 0) {
-      const unsigned t = static_cast<unsigned>(std::countr_zero(violation));
-      const std::uint64_t j = base + t;
-      verdict.ok = false;
-      verdict.counterexample.resize(w);
-      for (std::size_t i = 0; i < w; ++i) {
-        verdict.counterexample[i] = static_cast<Count>((j >> i) & 1u);
-      }
-      return verdict;
-    }
+  verdict.ok = first_bad == total;
+  verdict.inputs_checked = verdict.ok ? total : first_bad + 1;
+  for (std::size_t i = 0; !verdict.ok && i < w; ++i) {
+    verdict.counterexample.push_back(static_cast<Count>((first_bad >> i) & 1));
   }
   return verdict;
 }

@@ -1,22 +1,25 @@
-// Bit-sliced exhaustive 0-1 sorting verification.
+// Exhaustive 0-1 sorting verification on the compiled plan.
 //
-// The 0-1 principle reduces sortingness to 2^w binary evaluations. This
-// verifier processes 64 test vectors per pass: each wire holds a 64-bit
-// mask (bit t = the wire's value in test vector t), and a p-comparator on
-// 0/1 values becomes "wire i := 1 iff at least i+1 of the p inputs are 1",
-// computed with a bit-sliced ripple-carry popcount and bitwise threshold
-// comparisons. ~64x faster than scalar evaluation, which moves exhaustive
-// proofs from w <= 16 to w <= 24 territory in the same budget.
+// The 0-1 principle reduces sortingness to 2^w binary evaluations. They run
+// through the engine's own layer walk (run_plan_bit_planes): a wire holds
+// one 64-bit word per lane, bit t being its value in test vector t, so a
+// compare-exchange is an OR and an AND. Wide gates run through the plan's
+// compare-exchange expansion, so the proof covers the plan that sort_batch
+// and Sorter run. Cost: 2^w / 64 words, each walked through every
+// compare-exchange; width 32 takes seconds, and each further wire doubles it.
 #pragma once
 
 #include "net/network.h"
+#include "runtime/runtime.h"
 #include "verify/sorting_verify.h"
 
 namespace scn {
 
-/// Drop-in replacement for verify_sorting_exhaustive (same verdict
-/// semantics, counterexample reconstructed on failure). Requires
-/// net.width() <= 26.
-[[nodiscard]] SortingVerdict fast_verify_sorting_exhaustive(const Network& net);
+/// Drop-in replacement for verify_sorting_exhaustive: the same verdict,
+/// counterexample and inputs_checked (smallest failing index + 1, or 2^w)
+/// at any pool size, with the plan from `rt`'s cache and blocks of 4,096
+/// vectors on its pool. Throws std::invalid_argument if net.width() >= 64.
+[[nodiscard]] SortingVerdict fast_verify_sorting_exhaustive(
+    const Network& net, Runtime& rt = Runtime::shared());
 
 }  // namespace scn

@@ -74,6 +74,15 @@ TEST(Cli, BuildVerifyPipelinePasses) {
             std::string::npos);
 }
 
+TEST(Cli, VerifyProvesSortingExhaustivelyAtWidth24) {
+  const auto r =
+      run_command(kCli + " build L 2x3x4 | " + kCli + " verify");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("sorting (0-1 exhaustive): PASS"),
+            std::string::npos)
+      << r.output;
+}
+
 TEST(Cli, BubbleFailsVerificationWithWitness) {
   const auto r =
       run_command(kCli + " build bubble 4 | " + kCli + " verify");

@@ -1,28 +1,47 @@
-// Bit-sliced 0-1 verifier: agrees with the scalar verifier everywhere, and
-// unlocks exhaustive proofs at widths the scalar path cannot reach cheaply.
+// Exhaustive 0-1 verifier on the engine's bit-plane walk: agrees with the
+// scalar verifier everywhere (verdict, counterexample and inputs checked, on
+// one thread and on a pool), and proves the width-32 plans the workloads run.
 #include <gtest/gtest.h>
+
+#include <stdexcept>
 
 #include "baseline/batcher.h"
 #include "baseline/bubble.h"
 #include "core/k_network.h"
 #include "core/l_network.h"
 #include "core/r_network.h"
-#include "sim/comparator_sim.h"
 #include "verify/fast_zero_one.h"
 
 namespace scn {
 namespace {
 
+Runtime& one_thread() {
+  static Runtime rt(Runtime::Options{1});
+  return rt;
+}
+
+Runtime& four_threads() {
+  static Runtime rt(Runtime::Options{4});
+  return rt;
+}
+
 void expect_agreement(const Network& net) {
   const SortingVerdict slow = verify_sorting_exhaustive(net);
-  const SortingVerdict fast = fast_verify_sorting_exhaustive(net);
-  EXPECT_EQ(slow.ok, fast.ok);
-  EXPECT_EQ(fast.inputs_checked, std::uint64_t{1} << net.width());
-  if (!fast.ok) {
-    // The fast counterexample must really fail under scalar evaluation.
-    const auto out = comparator_output_counts(net, fast.counterexample);
-    EXPECT_FALSE(is_sorted_descending(out));
+  for (Runtime* rt : {&one_thread(), &four_threads()}) {
+    const SortingVerdict fast = fast_verify_sorting_exhaustive(net, *rt);
+    EXPECT_EQ(slow.ok, fast.ok) << rt->threads() << " threads";
+    EXPECT_EQ(slow.counterexample, fast.counterexample)
+        << rt->threads() << " threads";
+    EXPECT_EQ(slow.inputs_checked, fast.inputs_checked)
+        << rt->threads() << " threads";
   }
+}
+
+void expect_proof(const Network& net) {
+  ASSERT_EQ(net.width(), 32u);
+  const SortingVerdict v = fast_verify_sorting_exhaustive(net);
+  EXPECT_TRUE(v.ok);
+  EXPECT_EQ(v.inputs_checked, std::uint64_t{1} << 32);
 }
 
 TEST(FastZeroOne, AgreesOnSortingNetworks) {
@@ -33,8 +52,8 @@ TEST(FastZeroOne, AgreesOnSortingNetworks) {
 }
 
 TEST(FastZeroOne, AgreesOnBrokenNetworks) {
-  // Identity and half-finished networks must be rejected with a valid
-  // witness.
+  // Identity and half-finished networks must be rejected with the scalar
+  // verifier's witness.
   expect_agreement(NetworkBuilder(5).finish_identity());
   NetworkBuilder b(6);
   b.add_balancer({0, 1});
@@ -42,14 +61,29 @@ TEST(FastZeroOne, AgreesOnBrokenNetworks) {
   expect_agreement(std::move(b).finish_identity());
 }
 
+TEST(FastZeroOne, SmallestFailingIndexLiesPastTheFirstBlocks) {
+  // Bubble sort on wires 0..14 of 16: every vector with wire 15 at 0 is
+  // sorted, so the first failure is index 2^15, in block 8 of 16. On four
+  // threads later blocks may fail first; the verdict must still name 2^15.
+  NetworkBuilder b(16);
+  for (Wire pass = 0; pass < 14; ++pass) {
+    for (Wire j = 13; j >= pass; --j) b.add_balancer({j, j + 1});
+  }
+  const Network net = std::move(b).finish_identity();
+  expect_agreement(net);
+  EXPECT_EQ(fast_verify_sorting_exhaustive(net, four_threads()).inputs_checked,
+            (std::uint64_t{1} << 15) + 1);
+}
+
 TEST(FastZeroOne, WideGateNetworks) {
-  // Exercise the bit-sliced popcount near its plane capacity.
-  expect_agreement(make_k_network({4, 4}));      // 16-wide gate
-  expect_agreement(make_k_network({16}));        // single 16-balancer
+  // Wide gates reach the walk only through the plan's compare-exchange
+  // expansion.
+  expect_agreement(make_k_network({4, 4}));  // 16-wide gate
+  expect_agreement(make_k_network({16}));    // single 16-balancer
 }
 
 TEST(FastZeroOne, ExhaustiveProofsAtWidth18) {
-  // 2^18 = 262k vectors per network — cheap with bit-slicing.
+  // 2^18 = 262k vectors per network.
   EXPECT_TRUE(fast_verify_sorting_exhaustive(make_k_network({3, 3, 2})).ok);
   EXPECT_TRUE(fast_verify_sorting_exhaustive(make_l_network({3, 3, 2})).ok);
   EXPECT_TRUE(fast_verify_sorting_exhaustive(make_r_network(3, 6)).ok);
@@ -62,10 +96,32 @@ TEST(FastZeroOne, ExhaustiveProofsAtWidth20) {
 }
 
 TEST(FastZeroOne, PartialChunkWidthsBelowSix) {
-  // w < 6 exercises the valid-mask path (total < 64).
+  // Below width 6 one word holds more bits than there are vectors, and
+  // below 12 one block more words.
   expect_agreement(make_k_network({2, 2}));
   expect_agreement(make_bubble_network(3));
   expect_agreement(make_bubble_network(5));
+}
+
+TEST(FastZeroOne, RejectsWidth64) {
+  const Network net = NetworkBuilder(64).finish_identity();
+  EXPECT_THROW((void)fast_verify_sorting_exhaustive(net),
+               std::invalid_argument);
+}
+
+// One test per width-32 proof, so that `ctest -j` runs them side by side.
+TEST(FastZeroOneWidth32, ProvesSortBatchPlanL2x2x2x2x2) {
+  expect_proof(make_l_network({2, 2, 2, 2, 2}));
+}
+
+TEST(FastZeroOneWidth32, ProvesK2x2x2x2x2) {
+  expect_proof(make_k_network({2, 2, 2, 2, 2}));
+}
+
+TEST(FastZeroOneWidth32, ProvesL4x8) { expect_proof(make_l_network({4, 8})); }
+
+TEST(FastZeroOneWidth32, ProvesBatcher32) {
+  expect_proof(make_batcher_network(32));
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Breadth sweep: EVERY unordered factorization of every width in 8..40,
 // for both constructions — structural bounds plus exhaustive 0-1 sorting
-// proofs (bit-sliced) and light counting checks. The widest net here gets
+// proofs (bit-plane walk) and light counting checks. The widest net here gets
 // a full 2^w sorting proof when w <= 20.
 #include <gtest/gtest.h>
 
